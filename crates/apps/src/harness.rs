@@ -148,7 +148,6 @@ pub fn build_app_with_faults(
     faults: FaultInjection,
 ) -> BuiltApp {
     let mut sim = Simulator::new();
-    sim.set_eval_mode(vidi.eval_mode);
     let replaying = vidi.mode.replays();
 
     // Application-side interfaces for all five F1 buses (paper worst case).

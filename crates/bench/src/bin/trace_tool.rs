@@ -13,8 +13,8 @@
 //! trace_tool help [subcommand]                  # this text
 //! ```
 //!
-//! `convert` transcodes a framed chunk stream between block codecs (`raw`,
-//! `delta-rle`, `xor-dict`, `columnar`) packet by packet. Only the
+//! `convert` transcodes a framed chunk stream between the block codecs
+//! (`raw`, `xor-dict`) packet by packet. Only the
 //! certified prefix is transcoded — a torn input yields a clean, fully
 //! certified output of exactly the packets the input's CRC trailers vouch
 //! for — and the streaming-sentinel header declaration is preserved, so a
@@ -98,13 +98,13 @@ const SUBCOMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "convert",
-        "trace_tool convert <in> <out> --codec <name> [--chunk-words N]",
+        "trace_tool convert <in> <out> --codec raw|xor-dict [--chunk-words N]",
         "Transcode a framed chunk stream's certified prefix to another block codec.",
     ),
     (
         "sample",
         "trace_tool sample <out> [--app LABEL | --case echo-atop] [--filter buggy|fixed] \
-         [--pings N] [--seed N] [--codec NAME] [--chunk-words N]",
+         [--pings N] [--seed N] [--codec raw|xor-dict] [--chunk-words N]",
         "Record a catalog app (or the §5.3 echo-atop case study) to a trace file.",
     ),
     (

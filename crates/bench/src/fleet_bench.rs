@@ -40,7 +40,7 @@ pub fn tenant_mix() -> Vec<SessionSpec> {
     vec![
         SessionSpec::record("clean-sha", AppId::Sha, 7),
         SessionSpec::record("clean-digitrec", AppId::DigitRec, 11)
-            .with_trace_codec(CodecId::Columnar),
+            .with_trace_codec(CodecId::XorDict),
         SessionSpec::record("clean-spamfilter", AppId::SpamFilter, 13)
             .with_trace_codec(CodecId::XorDict),
         SessionSpec::record("clean-dma", AppId::Dma, 21),

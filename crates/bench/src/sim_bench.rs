@@ -1,16 +1,15 @@
 //! Scheduler perf measurement behind `BENCH_sim.json`.
 //!
 //! For every catalog application this module runs the same recorded
-//! workload under all three settle schedulers ([`vidi_hwsim::EvalMode::Full`],
-//! [`vidi_hwsim::EvalMode::Incremental`], and
-//! [`vidi_hwsim::EvalMode::Compiled`]), checks the recorded traces are
-//! bit-identical, replays the incremental trace, and reports deterministic
-//! eval counters plus (informational) wall-clock numbers. Baseline
-//! regressions are judged **only** on the deterministic counters — wall
-//! time depends on the host and is recorded as a trajectory — with one
-//! deliberate exception: the compiled scheduler exists *for* wall-clock
-//! throughput, so `bench_sim` additionally gates its cycles/sec speedup
-//! over the incremental scheduler.
+//! workload under both settle schedulers ([`vidi_hwsim::EvalMode::Full`],
+//! the oracle, and [`vidi_hwsim::EvalMode::Compiled`], the default), checks
+//! the recorded traces are bit-identical, replays the compiled trace, and
+//! reports deterministic eval counters plus (informational) wall-clock
+//! numbers. Baseline regressions are judged **only** on the deterministic
+//! counters — wall time depends on the host and is recorded as a
+//! trajectory — with one deliberate exception: the compiled scheduler
+//! exists *for* wall-clock throughput, so `bench_sim` additionally gates
+//! its cycles/sec speedup over the full-broadcast oracle.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,26 +32,22 @@ pub struct SimBenchRow {
     pub cycles: u64,
     /// Wall time of the recording run under the full scheduler, ms.
     pub wall_ms_full: f64,
-    /// Wall time of the recording run under the incremental scheduler, ms.
-    pub wall_ms_incremental: f64,
     /// Wall time of the recording run under the compiled scheduler, ms.
     pub wall_ms_compiled: f64,
-    /// Wall time of replaying the recorded trace (incremental mode), ms.
+    /// Wall time of replaying the recorded trace (compiled mode), ms.
     pub replay_wall_ms: f64,
-    /// Simulated cycles per wall-clock second, incremental recording run.
-    pub cycles_per_sec: f64,
+    /// Simulated cycles per wall-clock second, full recording run.
+    pub cycles_per_sec_full: f64,
     /// Simulated cycles per wall-clock second, compiled recording run.
     pub cycles_per_sec_compiled: f64,
-    /// `cycles_per_sec_compiled / cycles_per_sec` — the compiled
-    /// scheduler's throughput advantage over incremental.
+    /// `cycles_per_sec_compiled / cycles_per_sec_full` — the compiled
+    /// scheduler's throughput advantage over the full-broadcast oracle.
     pub compiled_speedup: f64,
     /// Mean component evals per cycle, full scheduler.
     pub evals_per_cycle_full: f64,
-    /// Mean component evals per cycle, incremental scheduler.
-    pub evals_per_cycle_incremental: f64,
     /// Mean component evals per cycle, compiled scheduler.
     pub evals_per_cycle_compiled: f64,
-    /// `evals_per_cycle_full / evals_per_cycle_incremental`.
+    /// `evals_per_cycle_full / evals_per_cycle_compiled`.
     pub eval_reduction: f64,
     /// Schedule deopts (backward wakes) taken by the compiled run.
     pub deopts: u64,
@@ -60,13 +55,13 @@ pub struct SimBenchRow {
     pub recompiles: u64,
     /// Clock edges the compiled run skipped for quiescent components.
     pub tick_skips: u64,
-    /// The recorded traces of all three modes are byte-for-byte identical.
+    /// The recorded traces of both modes are byte-for-byte identical.
     pub traces_identical: bool,
     /// High-water mark of bytes buffered in the streaming trace sink, maxed
     /// over the recording runs — the bounded-memory witness CI gates
     /// against [`vidi_core::VidiConfig::streaming_buffer_bound`].
     pub peak_buffered_bytes: u64,
-    /// Trace chunks the incremental recording run flushed to its store
+    /// Trace chunks the compiled recording run flushed to its store
     /// backend.
     pub chunks_flushed: u64,
     /// Finalized raw (uncompressed) stream length in bytes — the codec
@@ -75,15 +70,10 @@ pub struct SimBenchRow {
     /// Raw stream bytes per workload cycle — the storage bandwidth an
     /// uncompressed recording of this app consumes.
     pub bytes_per_cycle: f64,
-    /// `raw bytes / delta-rle bytes` for the same recording.
-    pub compression_ratio_delta_rle: f64,
-    /// `raw bytes / xor-dict bytes` for the same recording.
-    pub compression_ratio_xor_dict: f64,
-    /// `raw bytes / columnar bytes` for the same recording.
-    pub compression_ratio_columnar: f64,
-    /// Best ratio across the three compressed codecs — what CI gates.
+    /// `raw bytes / xor-dict bytes` for the same recording — what CI
+    /// gates.
     pub compression_ratio: f64,
-    /// Every codec's stream decoded to the reference packets and replayed
+    /// The xor-dict stream decoded to the reference packets and replayed
     /// to completion.
     pub codec_roundtrip_ok: bool,
 }
@@ -91,8 +81,7 @@ pub struct SimBenchRow {
 /// Runs one recorded workload twice and keeps the better wall time (the
 /// outcome is deterministic, so either run's outcome serves). Best-of-two
 /// damps scheduler-independent noise — page faults, frequency ramps — that
-/// would otherwise dominate the compiled-vs-incremental speedup at small
-/// scales.
+/// would otherwise dominate the compiled-vs-full speedup at small scales.
 fn timed_record(app: AppId, scale: Scale, seed: u64, mode: EvalMode) -> (RunOutcome, f64) {
     let mut best: Option<(RunOutcome, f64)> = None;
     for _ in 0..2 {
@@ -114,7 +103,7 @@ fn timed_record(app: AppId, scale: Scale, seed: u64, mode: EvalMode) -> (RunOutc
     best.expect("at least one timed run")
 }
 
-/// Records `app` through `codec` (incremental scheduler), returning the
+/// Records `app` through `codec` (default scheduler), returning the
 /// finalized chunk-stream image — compressed on the wire for block codecs
 /// — and the trace it decodes to.
 fn record_stream(app: AppId, scale: Scale, seed: u64, codec: CodecId) -> (Vec<u8>, Trace) {
@@ -141,8 +130,8 @@ fn record_stream(app: AppId, scale: Scale, seed: u64, codec: CodecId) -> (Vec<u8
     )
 }
 
-/// Measures one application: record under all three schedulers, compare
-/// traces, replay once.
+/// Measures one application: record under both schedulers, compare traces,
+/// replay once.
 ///
 /// # Panics
 ///
@@ -150,85 +139,70 @@ fn record_stream(app: AppId, scale: Scale, seed: u64, codec: CodecId) -> (Vec<u8
 /// only meaningful over correct executions.
 pub fn measure_app(app: AppId, scale: Scale, seed: u64) -> SimBenchRow {
     let (full, wall_ms_full) = timed_record(app, scale, seed, EvalMode::Full);
-    let (inc, wall_ms_incremental) = timed_record(app, scale, seed, EvalMode::Incremental);
     let (comp, wall_ms_compiled) = timed_record(app, scale, seed, EvalMode::Compiled);
 
-    for (mode, outcome) in [("Incremental", &inc), ("Compiled", &comp)] {
-        assert_eq!(
-            full.cycles,
-            outcome.cycles,
-            "{}: cycle counts diverge between Full and {mode}",
-            app.label()
-        );
-    }
+    assert_eq!(
+        full.cycles,
+        comp.cycles,
+        "{}: cycle counts diverge between Full and Compiled",
+        app.label()
+    );
     let trace_full = full.trace.as_ref().expect("recording produces a trace");
-    let trace_inc = inc.trace.as_ref().expect("recording produces a trace");
     let trace_comp = comp.trace.as_ref().expect("recording produces a trace");
     let reference = trace_full.encode();
-    let traces_identical = reference == trace_inc.encode() && reference == trace_comp.encode();
+    let traces_identical = reference == trace_comp.encode();
 
-    // Replay the incremental trace (exercises the decoder/replayer path the
+    // Replay the compiled trace (exercises the decoder/replayer path the
     // vector-clock scratch buffer optimizes).
     let replay = build_app(
         app.setup(scale, seed),
-        VidiConfig::replay(trace_inc.clone()),
+        VidiConfig::replay(trace_comp.clone()),
     );
     let start = Instant::now();
     run_app(replay, MAX_CYCLES).expect("replay completes");
     let replay_wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    // Codec sweep: record the same workload through every block codec and
-    // check each compressed stream decodes to the reference packets *and*
+    // Codec sweep: record the same workload raw and through xor-dict, and
+    // check the compressed stream decodes to the reference packets *and*
     // replays to completion straight from its compressed chunks — the
-    // record+replay-through-every-codec contract, measured per app.
+    // record+replay-through-the-codec contract, measured per app.
     let (raw_image, raw_trace) = record_stream(app, scale, seed, CodecId::Raw);
-    let mut codec_roundtrip_ok = raw_trace.encode() == reference;
-    let mut ratios = [0.0f64; 3];
-    for (slot, &codec) in ratios.iter_mut().zip(CodecId::COMPRESSED.iter()) {
-        let (image, trace) = record_stream(app, scale, seed, codec);
-        *slot = raw_image.len() as f64 / image.len().max(1) as f64;
-        codec_roundtrip_ok &= trace.encode() == reference;
-        let chunks: SharedChunks = Arc::new(image);
-        let replay = build_app(
-            app.setup(scale, seed),
-            VidiConfig::replay(ReplayInput::from_chunks(chunks)),
-        );
-        codec_roundtrip_ok &= run_app(replay, MAX_CYCLES).is_ok();
-    }
+    let (image, trace) = record_stream(app, scale, seed, CodecId::XorDict);
+    let compression_ratio = raw_image.len() as f64 / image.len().max(1) as f64;
+    let chunks: SharedChunks = Arc::new(image);
+    let replay = build_app(
+        app.setup(scale, seed),
+        VidiConfig::replay(ReplayInput::from_chunks(chunks)),
+    );
+    let codec_roundtrip_ok = raw_trace.encode() == reference
+        && trace.encode() == reference
+        && run_app(replay, MAX_CYCLES).is_ok();
 
     let epc_full = full.sim_stats.evals_per_cycle();
-    let epc_inc = inc.sim_stats.evals_per_cycle();
-    let cycles_per_sec = inc.sim_stats.cycles as f64 / (wall_ms_incremental / 1e3).max(1e-9);
+    let epc_comp = comp.sim_stats.evals_per_cycle();
+    let cycles_per_sec_full = full.sim_stats.cycles as f64 / (wall_ms_full / 1e3).max(1e-9);
     let cycles_per_sec_compiled = comp.sim_stats.cycles as f64 / (wall_ms_compiled / 1e3).max(1e-9);
     SimBenchRow {
         app: app.label().to_string(),
-        cycles: inc.cycles,
+        cycles: comp.cycles,
         wall_ms_full,
-        wall_ms_incremental,
         wall_ms_compiled,
         replay_wall_ms,
-        cycles_per_sec,
+        cycles_per_sec_full,
         cycles_per_sec_compiled,
-        compiled_speedup: cycles_per_sec_compiled / cycles_per_sec.max(1e-9),
+        compiled_speedup: cycles_per_sec_compiled / cycles_per_sec_full.max(1e-9),
         evals_per_cycle_full: epc_full,
-        evals_per_cycle_incremental: epc_inc,
-        evals_per_cycle_compiled: comp.sim_stats.evals_per_cycle(),
-        eval_reduction: epc_full / epc_inc.max(1e-9),
+        evals_per_cycle_compiled: epc_comp,
+        eval_reduction: epc_full / epc_comp.max(1e-9),
         deopts: comp.sim_stats.deopts,
         recompiles: comp.sim_stats.recompiles,
         tick_skips: comp.sim_stats.tick_skips,
         traces_identical,
-        peak_buffered_bytes: full
-            .peak_buffered_bytes
-            .max(inc.peak_buffered_bytes)
-            .max(comp.peak_buffered_bytes),
-        chunks_flushed: inc.chunks_flushed,
+        peak_buffered_bytes: full.peak_buffered_bytes.max(comp.peak_buffered_bytes),
+        chunks_flushed: comp.chunks_flushed,
         bytes_written: raw_image.len() as u64,
-        bytes_per_cycle: raw_image.len() as f64 / (inc.cycles as f64).max(1.0),
-        compression_ratio_delta_rle: ratios[0],
-        compression_ratio_xor_dict: ratios[1],
-        compression_ratio_columnar: ratios[2],
-        compression_ratio: ratios.iter().copied().fold(0.0, f64::max),
+        bytes_per_cycle: raw_image.len() as f64 / (comp.cycles as f64).max(1.0),
+        compression_ratio,
         codec_roundtrip_ok,
     }
 }
@@ -246,14 +220,14 @@ pub fn rows_with_2x_reduction(rows: &[SimBenchRow]) -> usize {
     rows.iter().filter(|r| r.eval_reduction >= 2.0).count()
 }
 
-/// Number of rows where the compiled scheduler reaches at least 2x the
-/// incremental scheduler's cycles/sec.
-pub fn rows_with_2x_compiled_speedup(rows: &[SimBenchRow]) -> usize {
-    rows.iter().filter(|r| r.compiled_speedup >= 2.0).count()
+/// Number of rows where the compiled scheduler reaches at least 5x the
+/// full-broadcast scheduler's cycles/sec.
+pub fn rows_with_5x_compiled_speedup(rows: &[SimBenchRow]) -> usize {
+    rows.iter().filter(|r| r.compiled_speedup >= 5.0).count()
 }
 
 /// The compiled-scheduler CI gate over a measured catalog: at least half
-/// the apps must reach a 2x cycles/sec speedup over incremental, and the
+/// the apps must reach a 5x cycles/sec speedup over full broadcast, and the
 /// speedup must come from real tick scheduling — at least one run must
 /// skip a clock edge, or the "compiled" numbers are vacuous (the backend
 /// silently fell back to per-edge broadcast).
@@ -261,10 +235,10 @@ pub fn rows_with_2x_compiled_speedup(rows: &[SimBenchRow]) -> usize {
 /// Returns the list of violations, empty when the gate passes.
 pub fn compiled_speedup_failures(rows: &[SimBenchRow]) -> Vec<String> {
     let mut failures = Vec::new();
-    let with_2x = rows_with_2x_compiled_speedup(rows);
-    if with_2x * 2 < rows.len() {
+    let with_5x = rows_with_5x_compiled_speedup(rows);
+    if with_5x * 2 < rows.len() {
         failures.push(format!(
-            "only {with_2x}/{} apps reach a 2x compiled cycles/sec speedup",
+            "only {with_5x}/{} apps reach a 5x compiled cycles/sec speedup",
             rows.len()
         ));
     }
@@ -278,14 +252,14 @@ pub fn compiled_speedup_failures(rows: &[SimBenchRow]) -> Vec<String> {
     failures
 }
 
-/// Number of rows whose best-codec compression ratio is at least 3x.
+/// Number of rows whose xor-dict compression ratio is at least 3x.
 pub fn rows_with_3x_compression(rows: &[SimBenchRow]) -> usize {
     rows.iter().filter(|r| r.compression_ratio >= 3.0).count()
 }
 
-/// The compression CI gate over a measured catalog: every codec's stream
+/// The compression CI gate over a measured catalog: every xor-dict stream
 /// must round-trip (decode to the reference packets and replay), at least
-/// half the apps must reach a 3x best-codec ratio, and the numbers must
+/// half the apps must reach a 3x ratio, and the numbers must
 /// come from real recordings — at least one app must have written stream
 /// bytes, or the ratio gate is vacuous.
 ///
@@ -294,12 +268,12 @@ pub fn compression_failures(rows: &[SimBenchRow]) -> Vec<String> {
     let mut failures: Vec<String> = rows
         .iter()
         .filter(|r| !r.codec_roundtrip_ok)
-        .map(|r| format!("{}: a codec stream failed to round-trip", r.app))
+        .map(|r| format!("{}: the xor-dict stream failed to round-trip", r.app))
         .collect();
     let with_3x = rows_with_3x_compression(rows);
     if with_3x * 2 < rows.len() {
         failures.push(format!(
-            "only {with_3x}/{} apps reach a 3x best-codec compression ratio",
+            "only {with_3x}/{} apps reach a 3x compression ratio",
             rows.len()
         ));
     }
@@ -350,20 +324,15 @@ pub fn to_json(rows: &[SimBenchRow], scale: Scale) -> Json {
                 ("app", Json::Str(r.app.clone())),
                 ("cycles", Json::Num(r.cycles as f64)),
                 ("wall_ms_full", Json::Num(r.wall_ms_full)),
-                ("wall_ms_incremental", Json::Num(r.wall_ms_incremental)),
                 ("wall_ms_compiled", Json::Num(r.wall_ms_compiled)),
                 ("replay_wall_ms", Json::Num(r.replay_wall_ms)),
-                ("cycles_per_sec", Json::Num(r.cycles_per_sec)),
+                ("cycles_per_sec_full", Json::Num(r.cycles_per_sec_full)),
                 (
                     "cycles_per_sec_compiled",
                     Json::Num(r.cycles_per_sec_compiled),
                 ),
                 ("compiled_speedup", Json::Num(r.compiled_speedup)),
                 ("evals_per_cycle_full", Json::Num(r.evals_per_cycle_full)),
-                (
-                    "evals_per_cycle_incremental",
-                    Json::Num(r.evals_per_cycle_incremental),
-                ),
                 (
                     "evals_per_cycle_compiled",
                     Json::Num(r.evals_per_cycle_compiled),
@@ -380,25 +349,13 @@ pub fn to_json(rows: &[SimBenchRow], scale: Scale) -> Json {
                 ("chunks_flushed", Json::Num(r.chunks_flushed as f64)),
                 ("bytes_written", Json::Num(r.bytes_written as f64)),
                 ("bytes_per_cycle", Json::Num(r.bytes_per_cycle)),
-                (
-                    "compression_ratio_delta_rle",
-                    Json::Num(r.compression_ratio_delta_rle),
-                ),
-                (
-                    "compression_ratio_xor_dict",
-                    Json::Num(r.compression_ratio_xor_dict),
-                ),
-                (
-                    "compression_ratio_columnar",
-                    Json::Num(r.compression_ratio_columnar),
-                ),
                 ("compression_ratio", Json::Num(r.compression_ratio)),
                 ("codec_roundtrip_ok", Json::Bool(r.codec_roundtrip_ok)),
             ])
         })
         .collect();
     obj([
-        ("schema", Json::Str("vidi-bench-sim/3".into())),
+        ("schema", Json::Str("vidi-bench-sim/4".into())),
         (
             "scale",
             Json::Str(
@@ -418,8 +375,8 @@ pub fn to_json(rows: &[SimBenchRow], scale: Scale) -> Json {
                     Json::Num(rows_with_2x_reduction(rows) as f64),
                 ),
                 (
-                    "apps_with_2x_compiled_speedup",
-                    Json::Num(rows_with_2x_compiled_speedup(rows) as f64),
+                    "apps_with_5x_compiled_speedup",
+                    Json::Num(rows_with_5x_compiled_speedup(rows) as f64),
                 ),
                 (
                     "apps_with_3x_compression",
@@ -432,15 +389,15 @@ pub fn to_json(rows: &[SimBenchRow], scale: Scale) -> Json {
 }
 
 /// Compares a current `BENCH_sim.json` document against a committed
-/// baseline on the **deterministic** counters (`evals_per_cycle_incremental`
-/// and, when the baseline carries them, `evals_per_cycle_compiled` and
-/// `compression_ratio`, per app). Wall-clock fields are never gated here.
+/// baseline on the **deterministic** counters (`evals_per_cycle_compiled`
+/// and `compression_ratio`, per app, whichever the baseline carries).
+/// Wall-clock fields are never gated here.
 ///
 /// # Errors
 ///
 /// Returns the list of regressions: apps missing from the current document,
 /// whose evals/cycle grew by more than `tolerance` (e.g. `0.10`), or whose
-/// best-codec compression ratio shrank by more than `tolerance`.
+/// compression ratio shrank by more than `tolerance`.
 pub fn compare_to_baseline(
     current: &Json,
     baseline: &Json,
@@ -448,8 +405,7 @@ pub fn compare_to_baseline(
 ) -> Result<(), Vec<String>> {
     /// `(metric, lower_is_better)` — a shrinking ratio is a regression just
     /// like growing evals/cycle.
-    const GATED: [(&str, bool); 3] = [
-        ("evals_per_cycle_incremental", true),
+    const GATED: [(&str, bool); 2] = [
         ("evals_per_cycle_compiled", true),
         ("compression_ratio", false),
     ];
@@ -517,7 +473,7 @@ mod tests {
             .map(|(a, e)| {
                 obj([
                     ("app", Json::Str((*a).into())),
-                    ("evals_per_cycle_incremental", Json::Num(*e)),
+                    ("evals_per_cycle_compiled", Json::Num(*e)),
                 ])
             })
             .collect();
@@ -529,14 +485,12 @@ mod tests {
             app: app.into(),
             cycles: 0,
             wall_ms_full: 0.0,
-            wall_ms_incremental: 0.0,
             wall_ms_compiled: 0.0,
             replay_wall_ms: 0.0,
-            cycles_per_sec: 0.0,
+            cycles_per_sec_full: 0.0,
             cycles_per_sec_compiled: 0.0,
             compiled_speedup: 0.0,
             evals_per_cycle_full: 0.0,
-            evals_per_cycle_incremental: 0.0,
             evals_per_cycle_compiled: 0.0,
             eval_reduction: 0.0,
             deopts: 0,
@@ -547,9 +501,6 @@ mod tests {
             chunks_flushed: 0,
             bytes_written: 0,
             bytes_per_cycle: 0.0,
-            compression_ratio_delta_rle: 0.0,
-            compression_ratio_xor_dict: 0.0,
-            compression_ratio_columnar: 0.0,
             compression_ratio: 0.0,
             codec_roundtrip_ok: true,
         }
@@ -575,7 +526,7 @@ mod tests {
         // A broken round-trip is always a failure, even at a great ratio.
         let fails = compression_failures(&[mk("a", 5.0, 900, false), mk("b", 4.0, 800, true)]);
         assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("a: a codec stream failed to round-trip"));
+        assert!(fails[0].contains("a: the xor-dict stream failed to round-trip"));
         // Ratios over zero written bytes are vacuous.
         let fails = compression_failures(&[mk("a", 5.0, 0, true), mk("b", 4.0, 0, true)]);
         assert_eq!(fails.len(), 1);
@@ -589,7 +540,7 @@ mod tests {
                 "apps",
                 Json::Arr(vec![obj([
                     ("app", Json::Str("a".into())),
-                    ("evals_per_cycle_incremental", Json::Num(10.0)),
+                    ("evals_per_cycle_compiled", Json::Num(10.0)),
                     ("compression_ratio", Json::Num(ratio)),
                 ])]),
             )])
@@ -627,14 +578,14 @@ mod tests {
             r.tick_skips = skips;
             r
         };
-        // Half the catalog at 2x with real skips: gate passes.
-        assert!(compiled_speedup_failures(&[mk("a", 2.5, 10), mk("b", 1.2, 3)]).is_empty());
-        // Under half at 2x: flagged.
-        let fails = compiled_speedup_failures(&[mk("a", 1.9, 10), mk("b", 1.2, 5)]);
+        // Half the catalog at 5x with real skips: gate passes.
+        assert!(compiled_speedup_failures(&[mk("a", 8.5, 10), mk("b", 1.2, 3)]).is_empty());
+        // Under half at 5x: flagged.
+        let fails = compiled_speedup_failures(&[mk("a", 4.9, 10), mk("b", 1.2, 5)]);
         assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("0/2 apps reach a 2x"));
+        assert!(fails[0].contains("0/2 apps reach a 5x"));
         // Fast but with zero tick skips everywhere: the number is vacuous.
-        let fails = compiled_speedup_failures(&[mk("a", 2.5, 0), mk("b", 2.5, 0)]);
+        let fails = compiled_speedup_failures(&[mk("a", 8.5, 0), mk("b", 8.5, 0)]);
         assert_eq!(fails.len(), 1);
         assert!(fails[0].contains("never exercised compiled tick scheduling"));
     }
@@ -650,19 +601,19 @@ mod tests {
         // One regression, one missing app: both reported.
         let err = compare_to_baseline(&doc(&[("a", 11.2)]), &base, 0.10).unwrap_err();
         assert_eq!(err.len(), 2);
-        assert!(err[0].contains("a: evals_per_cycle_incremental regressed"));
+        assert!(err[0].contains("a: evals_per_cycle_compiled regressed"));
         assert!(err[1].contains("b: present in baseline"));
     }
 
     #[test]
-    fn baseline_comparison_gates_compiled_counter_when_present() {
-        let mk_doc = |inc: f64, comp: Option<f64>| {
+    fn baseline_comparison_gates_only_metrics_the_baseline_carries() {
+        let mk_doc = |comp: f64, ratio: Option<f64>| {
             let mut fields = vec![
                 ("app", Json::Str("a".into())),
-                ("evals_per_cycle_incremental", Json::Num(inc)),
+                ("evals_per_cycle_compiled", Json::Num(comp)),
             ];
-            if let Some(c) = comp {
-                fields.push(("evals_per_cycle_compiled", Json::Num(c)));
+            if let Some(r) = ratio {
+                fields.push(("compression_ratio", Json::Num(r)));
             }
             let row = Json::Obj(
                 fields
@@ -672,18 +623,14 @@ mod tests {
             );
             obj([("apps", Json::Arr(vec![row]))])
         };
-        let base = mk_doc(10.0, Some(4.0));
-        // Compiled counter regressed beyond tolerance: flagged by name.
-        let err = compare_to_baseline(&mk_doc(10.0, Some(5.0)), &base, 0.10).unwrap_err();
-        assert_eq!(err.len(), 1);
-        assert!(err[0].contains("evals_per_cycle_compiled regressed"));
-        // Baseline expects the compiled counter; its absence is a failure.
-        let err = compare_to_baseline(&mk_doc(10.0, None), &base, 0.10).unwrap_err();
-        assert!(err[0].contains("evals_per_cycle_compiled not measured"));
-        // An old baseline without the counter never demands it.
-        let old_base = mk_doc(10.0, None);
+        // Baseline expects the ratio; its absence is a failure.
+        let base = mk_doc(4.0, Some(3.0));
+        let err = compare_to_baseline(&mk_doc(4.0, None), &base, 0.10).unwrap_err();
+        assert!(err[0].contains("compression_ratio not measured"));
+        // A baseline without the ratio never demands it.
+        let old_base = mk_doc(4.0, None);
         assert_eq!(
-            compare_to_baseline(&mk_doc(10.0, None), &old_base, 0.10),
+            compare_to_baseline(&mk_doc(4.0, None), &old_base, 0.10),
             Ok(())
         );
     }

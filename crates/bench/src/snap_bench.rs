@@ -224,7 +224,7 @@ pub fn measure_app(app: AppId, scale: Scale, seed: u64, threads: usize) -> SnapB
     let recovered = vidi_snap::CheckpointLog::decode_framed(&image).expect("container decodes");
     let mut roundtrip_exact = recovered.complete && recovered.log == log;
     for cp in &log.checkpoints {
-        for mode in [EvalMode::Incremental, EvalMode::Full] {
+        for mode in [EvalMode::Compiled, EvalMode::Full] {
             roundtrip_exact &= checkpoint_restores_exactly(app, scale, seed, &replay_cfg, cp, mode);
         }
     }

@@ -1,6 +1,10 @@
 //! Codec 2: delta+RLE bit-vectors plus XOR-previous and a small
 //! move-to-front dictionary over content words.
 //!
+//! Consecutive cycles mostly touch the same channels, so XOR-ing each
+//! packet's starts/ends bit-vectors against the previous packet's yields
+//! near-zero streams that zero-RLE collapses.
+//!
 //! Each channel keeps its own coder state: the previous value and a
 //! 16-entry most-recently-used dictionary. A content item that matches a
 //! dictionary entry becomes one token byte (its index, then moved to
@@ -11,7 +15,6 @@
 //! Wire form: `varint(len) zrle(starts_deltas) varint(len)
 //! zrle(ends_deltas) varint(n_tokens) tokens varint(len) zrle(residues)`.
 
-use crate::delta::{push_bitvec_sections, read_bitvec_sections, split_sections};
 use crate::schema::{items_of, walk_packets, PacketSchema};
 use crate::vint::{read_len, write_varint, zrle_decode, zrle_encode};
 use crate::CodecError;
@@ -120,21 +123,62 @@ impl DictDecoder {
     }
 }
 
+/// Reads back the two zero-RLE'd delta streams and un-deltas them into
+/// per-packet bit-vectors: returns `(starts_per_packet, ends_per_packet)` as
+/// flat `n_packets × width` streams of absolute (not delta) bytes.
+fn read_bitvec_sections(
+    schema: &PacketSchema,
+    enc: &[u8],
+    pos: &mut usize,
+    n_packets: u32,
+) -> Result<(Vec<u8>, Vec<u8>), CodecError> {
+    let n = n_packets as usize;
+    let mut absolute = Vec::with_capacity(2);
+    for width in [schema.starts_bytes(), schema.ends_bytes()] {
+        let len = read_len(enc, pos)?;
+        let section = enc.get(*pos..*pos + len).ok_or(CodecError::Truncated)?;
+        *pos += len;
+        let mut deltas = zrle_decode(section, n * width)?;
+        // Integrate: packet p's bytes ^= packet p-1's bytes.
+        for p in 1..n {
+            for b in 0..width {
+                deltas[p * width + b] ^= deltas[(p - 1) * width + b];
+            }
+        }
+        absolute.push(deltas);
+    }
+    let ends = absolute.pop().unwrap_or_default();
+    let starts = absolute.pop().unwrap_or_default();
+    Ok((starts, ends))
+}
+
 /// Encodes a block.
 pub fn encode(schema: &PacketSchema, raw: &[u8], n_packets: u32) -> Result<Vec<u8>, CodecError> {
-    let sections = split_sections(schema, raw, n_packets)?;
+    let (sb, eb) = (schema.starts_bytes(), schema.ends_bytes());
+    let mut starts_deltas = Vec::with_capacity(n_packets as usize * sb);
+    let mut ends_deltas = Vec::with_capacity(n_packets as usize * eb);
+    let mut prev_s = vec![0u8; sb];
+    let mut prev_e = vec![0u8; eb];
     let mut coders: Vec<DictEncoder> = (0..schema.n_channels())
         .map(|c| DictEncoder::new(schema.width(c)))
         .collect();
     let mut tokens = Vec::new();
     let mut residues = Vec::new();
     walk_packets(schema, raw, n_packets, |_, view| {
+        starts_deltas.extend(view.starts.iter().zip(&prev_s).map(|(a, b)| a ^ b));
+        ends_deltas.extend(view.ends.iter().zip(&prev_e).map(|(a, b)| a ^ b));
+        prev_s.copy_from_slice(view.starts);
+        prev_e.copy_from_slice(view.ends);
         for (c, bytes) in &view.items {
             coders[*c].push(bytes, &mut tokens, &mut residues);
         }
     })?;
     let mut out = Vec::new();
-    push_bitvec_sections(&mut out, &sections.starts_deltas, &sections.ends_deltas);
+    for section in [&starts_deltas, &ends_deltas] {
+        let enc = zrle_encode(section);
+        write_varint(&mut out, enc.len() as u64);
+        out.extend_from_slice(&enc);
+    }
     write_varint(&mut out, tokens.len() as u64);
     out.extend_from_slice(&tokens);
     let rr = zrle_encode(&residues);
@@ -209,6 +253,23 @@ pub fn decode(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sparse_bitvecs_shrink() {
+        // 100 quiet packets after one active one: the bit-vector deltas are
+        // almost all zero, so the encoded block is far smaller than raw.
+        let schema = PacketSchema::new(&[(2, true), (2, false)], false);
+        let mut raw = vec![0x01, 0x01, 0xab, 0xcd]; // start ch0 + end ch0 + content
+        raw.extend(std::iter::repeat_n(0u8, 2 * 100)); // 100 quiet packets
+        let enc = encode(&schema, &raw, 101).unwrap();
+        assert!(
+            enc.len() < raw.len() / 4,
+            "enc {} raw {}",
+            enc.len(),
+            raw.len()
+        );
+        assert_eq!(decode(&schema, &enc, 101, raw.len()).unwrap(), raw);
+    }
 
     #[test]
     fn repeated_values_become_tokens() {

@@ -7,27 +7,24 @@
 //! layering lives in `vidi-trace`, which frames encoded blocks *under* its
 //! CRC words so torn-tail certification is codec-agnostic.
 //!
-//! Three codecs exploit the structure of record/replay traces:
+//! One compressed codec exploits the structure of record/replay traces:
+//! [`CodecId::XorDict`] XOR-deltas the starts/ends bit-vectors between
+//! consecutive packets and zero-run-length encodes them (most cycles touch
+//! the same few channels, so deltas are near-zero), and codes content words
+//! with per-channel XOR-previous plus a small move-to-front dictionary
+//! (repeated or slowly-varying words collapse to one token byte).
+//! [`CodecId::Raw`] stores the wire bytes unchanged.
 //!
-//! - [`CodecId::DeltaRle`] — XOR-delta between consecutive packets on the
-//!   starts/ends bit-vectors, then zero-run-length encoding. Most cycles
-//!   touch the same few channels, so deltas are near-zero. Contents ride raw.
-//! - [`CodecId::XorDict`] — the same bit-vector treatment, plus per-channel
-//!   XOR-previous and a small move-to-front dictionary over content words.
-//!   Repeated or slowly-varying words collapse to one token byte.
-//! - [`CodecId::Columnar`] — transposes the block: each input's start bits,
-//!   each channel's end bits, and each channel's content stream are stored
-//!   contiguously, then compressed with the same dictionary scheme. Grouping
-//!   a channel's stream gives the best ratio and locality for per-channel
-//!   replay.
+//! Wire ids 1 and 3 belonged to the retired `DeltaRle` and `Columnar`
+//! codecs. They stay reserved: [`CodecId::from_u8`] rejects them, so a
+//! chunk stream that names them fails to open with a typed error
+//! (`TraceError::UnsupportedCodec` in `vidi-trace`).
 //!
 //! Every codec is lossless and self-contained per block: decoding needs only
 //! the encoded bytes, the [`PacketSchema`], the packet count, and the raw
 //! length. Decoding untrusted bytes never panics — all structural errors
 //! surface as [`CodecError`].
 
-mod columnar;
-mod delta;
 mod dict;
 mod schema;
 mod vint;
@@ -35,43 +32,29 @@ mod vint;
 pub use schema::PacketSchema;
 
 /// Identifies a block codec on the wire. The `u8` value is what the chunk
-/// header and each block header carry, so the discriminants are frozen.
+/// header and each block header carry, so the discriminants are frozen;
+/// ids 1 and 3 are retired and never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[repr(u8)]
 pub enum CodecId {
     /// Identity: blocks are the raw packet wire bytes.
     #[default]
     Raw = 0,
-    /// XOR-delta + zero-RLE on the starts/ends bit-vectors, raw contents.
-    DeltaRle = 1,
     /// Delta+RLE bit-vectors plus XOR-previous and a small move-to-front
     /// dictionary over content words.
     XorDict = 2,
-    /// Columnar transpose: per-channel bit columns and content streams,
-    /// each dictionary-compressed contiguously.
-    Columnar = 3,
 }
 
 impl CodecId {
     /// Every codec this build knows, in wire-id order.
-    pub const ALL: [CodecId; 4] = [
-        CodecId::Raw,
-        CodecId::DeltaRle,
-        CodecId::XorDict,
-        CodecId::Columnar,
-    ];
+    pub const ALL: [CodecId; 2] = [CodecId::Raw, CodecId::XorDict];
 
-    /// The compressed codecs (everything except [`CodecId::Raw`]).
-    pub const COMPRESSED: [CodecId; 3] = [CodecId::DeltaRle, CodecId::XorDict, CodecId::Columnar];
-
-    /// Decodes a wire id byte.
+    /// Decodes a wire id byte; unknown and retired ids yield `None`.
     #[must_use]
     pub fn from_u8(byte: u8) -> Option<CodecId> {
         match byte {
             0 => Some(CodecId::Raw),
-            1 => Some(CodecId::DeltaRle),
             2 => Some(CodecId::XorDict),
-            3 => Some(CodecId::Columnar),
             _ => None,
         }
     }
@@ -81,9 +64,7 @@ impl CodecId {
     pub fn name(self) -> &'static str {
         match self {
             CodecId::Raw => "raw",
-            CodecId::DeltaRle => "delta-rle",
             CodecId::XorDict => "xor-dict",
-            CodecId::Columnar => "columnar",
         }
     }
 
@@ -152,9 +133,7 @@ pub fn encode_block(
 ) -> Result<Vec<u8>, CodecError> {
     match codec {
         CodecId::Raw => Ok(raw.to_vec()),
-        CodecId::DeltaRle => delta::encode(schema, raw, n_packets),
         CodecId::XorDict => dict::encode(schema, raw, n_packets),
-        CodecId::Columnar => columnar::encode(schema, raw, n_packets),
     }
 }
 
@@ -183,9 +162,7 @@ pub fn decode_block(
             }
             enc.to_vec()
         }
-        CodecId::DeltaRle => delta::decode(schema, enc, n_packets, raw_len)?,
         CodecId::XorDict => dict::decode(schema, enc, n_packets, raw_len)?,
-        CodecId::Columnar => columnar::decode(schema, enc, n_packets, raw_len)?,
     };
     if out.len() != raw_len {
         return Err(CodecError::Corrupt("decoded length mismatch"));
@@ -289,26 +266,18 @@ mod tests {
         for _ in 0..64 {
             raw.extend_from_slice(&one);
         }
-        for codec in CodecId::COMPRESSED {
-            let enc = encode_block(codec, &schema, &raw, 3 * 64).unwrap();
-            // Delta-RLE leaves contents raw, so on this content-heavy block
-            // only the dictionary codecs owe a real ratio (2x here; the
-            // bit-vector deltas change every packet, which caps what the
-            // interleaved coder can reclaim). Delta-RLE must merely stay
-            // near raw — the chunk layer stores raw when a codec expands.
-            if codec == CodecId::DeltaRle {
-                assert!(enc.len() <= raw.len() + 64, "codec {codec}: {}", enc.len());
-            } else {
-                assert!(
-                    enc.len() * 2 <= raw.len(),
-                    "codec {codec}: {} vs raw {}",
-                    enc.len(),
-                    raw.len()
-                );
-            }
-            let dec = decode_block(codec, &schema, &enc, 3 * 64, raw.len()).unwrap();
-            assert_eq!(dec, raw);
-        }
+        let codec = CodecId::XorDict;
+        let enc = encode_block(codec, &schema, &raw, 3 * 64).unwrap();
+        // 2x here: the bit-vector deltas change every packet, which caps
+        // what the interleaved coder can reclaim.
+        assert!(
+            enc.len() * 2 <= raw.len(),
+            "codec {codec}: {} vs raw {}",
+            enc.len(),
+            raw.len()
+        );
+        let dec = decode_block(codec, &schema, &enc, 3 * 64, raw.len()).unwrap();
+        assert_eq!(dec, raw);
     }
 
     #[test]
@@ -325,19 +294,18 @@ mod tests {
     fn decode_corrupt_bytes_never_panics() {
         let schema = schema();
         let (raw, n) = sample_block(&schema);
-        for codec in CodecId::COMPRESSED {
-            let enc = encode_block(codec, &schema, &raw, n).unwrap();
-            // Truncations.
-            for cut in 0..enc.len() {
-                let _ = decode_block(codec, &schema, &enc[..cut], n, raw.len());
-            }
-            // Single-byte corruptions at every position and bit.
-            for pos in 0..enc.len() {
-                for bit in 0..8 {
-                    let mut bad = enc.clone();
-                    bad[pos] ^= 1 << bit;
-                    let _ = decode_block(codec, &schema, &bad, n, raw.len());
-                }
+        let codec = CodecId::XorDict;
+        let enc = encode_block(codec, &schema, &raw, n).unwrap();
+        // Truncations.
+        for cut in 0..enc.len() {
+            let _ = decode_block(codec, &schema, &enc[..cut], n, raw.len());
+        }
+        // Single-byte corruptions at every position and bit.
+        for pos in 0..enc.len() {
+            for bit in 0..8 {
+                let mut bad = enc.clone();
+                bad[pos] ^= 1 << bit;
+                let _ = decode_block(codec, &schema, &bad, n, raw.len());
             }
         }
     }
@@ -350,5 +318,16 @@ mod tests {
         }
         assert_eq!(CodecId::from_u8(7), None);
         assert_eq!(CodecId::from_name("gzip"), None);
+    }
+
+    #[test]
+    fn retired_codec_ids_are_rejected() {
+        // Wire ids 1 (delta-rle) and 3 (columnar) are retired, not reused.
+        for id in [1, 3] {
+            assert_eq!(CodecId::from_u8(id), None, "id {id}");
+        }
+        for name in ["delta-rle", "columnar"] {
+            assert_eq!(CodecId::from_name(name), None, "{name}");
+        }
     }
 }

@@ -110,11 +110,6 @@ pub fn bit(bytes: &[u8], i: usize) -> bool {
     bytes[i / 8] >> (i % 8) & 1 == 1
 }
 
-/// Sets bit `i` of a little-endian bit-vector.
-pub fn set_bit(bytes: &mut [u8], i: usize) {
-    bytes[i / 8] |= 1 << (i % 8);
-}
-
 /// One parsed packet: byte ranges into the raw stream.
 pub struct PacketView<'a> {
     /// Starts bit-vector bytes.

@@ -92,11 +92,6 @@ pub struct VidiConfig {
     /// compression ratio multiplies effective drain rate. Replay is
     /// self-configuring: the codec rides in the recorded stream's header.
     pub trace_codec: vidi_trace::CodecId,
-    /// Settle-phase scheduler of the underlying simulator (see
-    /// [`vidi_hwsim::EvalMode`]). All modes are bit-identical; this is a
-    /// pure performance knob, consumed by whatever builds the simulation
-    /// (e.g. the app harness) rather than by the shim itself.
-    pub eval_mode: vidi_hwsim::EvalMode,
 }
 
 impl Default for VidiConfig {
@@ -111,7 +106,6 @@ impl Default for VidiConfig {
             checkpoint_every: None,
             trace_chunk_words: vidi_trace::DEFAULT_CHUNK_WORDS,
             trace_codec: vidi_trace::CodecId::Raw,
-            eval_mode: vidi_hwsim::EvalMode::default(),
         }
     }
 }
@@ -158,12 +152,6 @@ impl VidiConfig {
     /// The same configuration with checkpointing armed every `every` cycles.
     pub fn with_checkpoints(mut self, every: u64) -> Self {
         self.checkpoint_every = Some(every);
-        self
-    }
-
-    /// The same configuration with a different settle-phase scheduler.
-    pub fn with_eval_mode(mut self, mode: vidi_hwsim::EvalMode) -> Self {
-        self.eval_mode = mode;
         self
     }
 

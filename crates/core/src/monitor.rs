@@ -65,7 +65,7 @@ pub struct ChannelMonitor {
     state: State,
     transactions: u64,
     /// Whether the last `tick` transitioned `state` — the only internal
-    /// state `eval` depends on. Lets the incremental scheduler skip idle
+    /// state `eval` depends on. Lets the compiled scheduler skip idle
     /// monitors (see [`Component::tick_changed_state`]).
     state_changed_in_tick: bool,
     /// Whether the last executed `tick` mutated *nothing* (no firing, no

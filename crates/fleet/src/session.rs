@@ -378,10 +378,10 @@ mod tests {
 
         // Compression threads through to the shim config, and the admission
         // reservation grows to cover the codec's extra staging buffers.
-        let compressed = spec.clone().with_trace_codec(vidi_trace::CodecId::Columnar);
+        let compressed = spec.clone().with_trace_codec(vidi_trace::CodecId::XorDict);
         assert_eq!(
             compressed.vidi_config().trace_codec,
-            vidi_trace::CodecId::Columnar
+            vidi_trace::CodecId::XorDict
         );
         assert!(compressed.buffer_bound() > spec.buffer_bound());
     }

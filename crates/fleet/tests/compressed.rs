@@ -37,7 +37,7 @@ fn solo_image(spec: &SessionSpec) -> Vec<u8> {
 
 #[test]
 fn compressed_tenants_decode_identically_to_raw() {
-    // One raw and three compressed tenants of the same workload, fully
+    // One raw and one compressed tenant of the same workload, fully
     // provisioned. Every codec's finalized image must decode to the same
     // packets, and the compressed images must actually be smaller.
     let specs: Vec<SessionSpec> = CodecId::ALL
@@ -118,9 +118,9 @@ fn evicted_compressed_tenant_finalizes_like_raw() {
         scale: Scale::Bench,
         trace_chunk_words: 4,
         max_cycles: 50_000_000,
-        ..SessionSpec::record("long-columnar", AppId::DigitRec, 5)
+        ..SessionSpec::record("long-xor-dict", AppId::DigitRec, 5)
     }
-    .with_trace_codec(CodecId::Columnar);
+    .with_trace_codec(CodecId::XorDict);
 
     let fleet = Fleet::new(FleetConfig {
         workers: 1,
@@ -170,7 +170,7 @@ fn evicted_compressed_tenant_finalizes_like_raw() {
         .submit(SessionSpec {
             scale: Scale::Bench,
             ..SessionSpec::replay(
-                "replay-evicted-columnar",
+                "replay-evicted-xor-dict",
                 AppId::DigitRec,
                 5,
                 recovered.trace,

@@ -78,7 +78,7 @@ pub trait Component {
     /// Whether the scheduler must re-evaluate this component on **every**
     /// settle pass, opting out of sensitivity-driven skipping.
     ///
-    /// The incremental scheduler assumes `eval` is a pure function of the
+    /// The compiled scheduler assumes `eval` is a pure function of the
     /// component's internal state and the signals it read during its most
     /// recent `eval` (which the idempotence contract above already implies
     /// for well-behaved components). A component that violates that
@@ -93,7 +93,7 @@ pub trait Component {
     /// Whether the most recent [`tick`](Component::tick) may have changed
     /// state that [`eval`](Component::eval) depends on.
     ///
-    /// The incremental scheduler re-evaluates a component at the start of a
+    /// The compiled scheduler re-evaluates a component at the start of a
     /// cycle only if a signal in its sensitivity set changed **or** this
     /// method reports the last clock edge was not quiescent. The default is
     /// `true` — always conservative, never wrong. Components whose `tick`

@@ -14,8 +14,8 @@
 //! the schedule unions them in place so wake propagation stays complete,
 //! and the scheduler counts a **deoptimization** whenever a write has to
 //! wake an earlier-or-equal schedule position — the case where the compiled
-//! order was wrong and the settle falls back to the incremental worklist's
-//! multi-pass iteration for that cycle (see `Simulator::run_cycle`).
+//! order was wrong and the settle falls back to multi-pass worklist
+//! iteration for that cycle (see `Simulator::run_cycle`).
 
 use crate::graph;
 use crate::signal::SignalId;

@@ -96,8 +96,8 @@ pub struct SignalPool {
     track: Cell<u8>,
     /// Chronological read/write log for static lint (`TRACK_LOG`).
     access_log: RefCell<Vec<SignalAccess>>,
-    /// Deduplicated per-eval read set for the incremental and compiled
-    /// schedulers (`TRACK_CAPTURE`). Independent of the chronological log.
+    /// Deduplicated per-eval read set for the compiled scheduler
+    /// (`TRACK_CAPTURE`). Independent of the chronological log.
     cap_reads: RefCell<Vec<SignalId>>,
     cap_stamp: RefCell<Vec<u64>>,
     cap_gen: Cell<u64>,
@@ -127,7 +127,7 @@ impl SignalPool {
 
     /// Starts capturing the deduplicated *read set* of subsequent signal
     /// accesses (clearing any previous capture). This is the cheap per-eval
-    /// sensitivity probe behind the incremental scheduler: unlike the
+    /// sensitivity probe behind the compiled scheduler: unlike the
     /// chronological access log it records each signal at most once and
     /// ignores writes.
     pub fn start_read_capture(&self) {
@@ -421,7 +421,7 @@ impl SignalPool {
     }
 
     /// Drains the dirty list into `out` (reusing its allocation) and starts
-    /// a fresh dirty generation. The incremental scheduler calls this after
+    /// a fresh dirty generation. The compiled scheduler calls this after
     /// each component evaluation to learn which signals that eval changed.
     pub fn drain_dirty(&mut self, out: &mut Vec<SignalId>) {
         out.clear();

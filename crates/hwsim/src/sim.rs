@@ -1,25 +1,23 @@
 //! The simulation scheduler.
 //!
-//! Three schedulers share the same two-phase cycle semantics (settle to a
+//! Two schedulers share the same two-phase cycle semantics (settle to a
 //! combinational fixed point, then commit the clock edge):
 //!
+//! * [`EvalMode::Compiled`] (the default) — a levelized scheduler: the
+//!   component dataflow graph is topologically sorted **once at setup**
+//!   (see [`levelize`](crate::levelize)), so an acyclic steady-state settle
+//!   is a single upstream-first sweep that evaluates only the components
+//!   whose inputs changed. Components whose runtime reads escape the
+//!   compiled order *deoptimize* to a multi-pass worklist for that cycle
+//!   and trigger a bounded recompile. The clock edge is scheduled too:
+//!   components that declare [`Component::tick_reads`] have their ticks
+//!   (and fault polls) skipped on cycles that provably cannot change their
+//!   state.
 //! * [`EvalMode::Full`] — the classic full-broadcast loop: every component's
-//!   `eval` runs on every settle pass until no signal changes.
-//! * [`EvalMode::Incremental`] (the default) — a sensitivity-driven worklist
-//!   scheduler: each settle pass after the first re-evaluates only the
-//!   components whose *sensitivity set* (the signals their previous `eval`
-//!   actually read) intersects the set of signals that changed.
-//! * [`EvalMode::Compiled`] — a levelized scheduler: the component dataflow
-//!   graph is topologically sorted **once at setup** (see
-//!   [`levelize`](crate::levelize)), so an acyclic steady-state settle is a
-//!   single upstream-first sweep; components whose runtime reads escape the
-//!   compiled order *deoptimize* to the incremental worklist's multi-pass
-//!   fallback for that cycle and trigger a bounded recompile. The clock
-//!   edge is scheduled too: components that declare
-//!   [`Component::tick_reads`] have their ticks (and fault polls) skipped
-//!   on cycles that provably cannot change their state.
+//!   `eval` runs on every settle pass until no signal changes. Kept as the
+//!   reference oracle for equivalence tests.
 //!
-//! All modes produce bit-identical signal trajectories; see [`Simulator`]
+//! Both modes produce bit-identical signal trajectories; see [`Simulator`]
 //! for the argument.
 
 use crate::component::Component;
@@ -54,8 +52,8 @@ pub struct ComponentAccess {
 impl ComponentAccess {
     /// The deduplicated signals this component read, in first-read order —
     /// the component's *sensitivity set* under the conservative one-shot
-    /// approximation shared by static lint and the incremental scheduler's
-    /// initial seed.
+    /// approximation shared by static lint and the compiled scheduler's
+    /// schedule build.
     pub fn read_set(&self) -> Vec<SignalId> {
         let mut out: Vec<SignalId> = Vec::new();
         for acc in &self.accesses {
@@ -86,21 +84,18 @@ impl ComponentAccess {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EvalMode {
     /// Full broadcast: every component evaluates on every settle pass. The
-    /// original (and reference) scheduler, kept as an escape hatch and as
-    /// the oracle for equivalence tests.
+    /// original (and reference) scheduler, kept as the oracle for
+    /// equivalence tests.
     Full,
-    /// Sensitivity-driven worklist scheduling (the default): after the
-    /// touch-all first pass of each cycle, only components whose captured
-    /// read set intersects the dirty signal set are re-evaluated.
+    /// Levelized compiled scheduling (the default): the dataflow graph is
+    /// Tarjan-sorted once at setup into an upstream-first sweep order, so
+    /// steady-state settles are single-pass and evaluate only components
+    /// whose read set intersects the dirty signal set; runtime reads that
+    /// escape the compiled order deoptimize to worklist iteration for that
+    /// cycle (counted in [`SimStats::deopts`]) and trigger a bounded
+    /// recompile. Clock edges of components declaring
+    /// [`Component::tick_reads`] are skipped when provably quiescent.
     #[default]
-    Incremental,
-    /// Levelized compiled scheduling: the dataflow graph is Tarjan-sorted
-    /// once at setup into an upstream-first sweep order, so steady-state
-    /// settles are single-pass; runtime reads that escape the compiled
-    /// order deoptimize to worklist iteration for that cycle (counted in
-    /// [`SimStats::deopts`]) and trigger a bounded recompile. Clock edges
-    /// of components declaring [`Component::tick_reads`] are skipped when
-    /// provably quiescent.
     Compiled,
 }
 
@@ -110,12 +105,15 @@ pub enum EvalMode {
 /// `evals + skipped_evals` is exactly what the full-broadcast scheduler
 /// would have executed over the same settle passes, so
 /// `(evals + skipped_evals) / evals` is the eval-reduction factor of the
-/// incremental scheduler (1.0 in [`EvalMode::Full`]).
+/// compiled scheduler (1.0 in [`EvalMode::Full`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Clock cycles executed.
     pub cycles: u64,
-    /// [`Component::eval`] calls made during settle phases.
+    /// [`Component::eval`] calls made during settle phases. The compiled
+    /// scheduler's schedule builds run one instrumented eval per component
+    /// outside any settle pass; those footprint scans are not counted here
+    /// (one per component per [`Self::recompiles`]).
     pub evals: u64,
     /// Evals a full-broadcast pass would have made but the worklist skipped.
     pub skipped_evals: u64,
@@ -154,17 +152,6 @@ impl SimStats {
     }
 }
 
-/// One entry of a per-signal watcher list: component `comp` had this signal
-/// in its sensitivity set as of sensitivity generation `gen`. Entries whose
-/// generation no longer matches the component's current generation are
-/// stale and are dropped lazily during dirty propagation (and in bulk by
-/// the periodic rebuild).
-#[derive(Clone, Copy, Debug)]
-struct Watcher {
-    comp: u32,
-    gen: u32,
-}
-
 /// A deterministic delta-cycle simulator.
 ///
 /// Each simulated clock cycle proceeds in two phases:
@@ -177,18 +164,20 @@ struct Watcher {
 ///    the settled signal values and updating registered state.
 ///
 /// The simulation is fully deterministic: it is single-threaded, components
-/// are evaluated in insertion order, and any randomness lives in seeded
-/// workload generators outside the kernel.
+/// are evaluated in a fixed order (insertion order under [`EvalMode::Full`],
+/// the levelized order under [`EvalMode::Compiled`]), and any randomness
+/// lives in seeded workload generators outside the kernel.
 ///
 /// ## Scheduling modes
 ///
-/// By default the settle phase uses a **sensitivity-driven incremental
-/// scheduler** ([`EvalMode::Incremental`]): the pool records *which* signals
-/// change, every `eval` call runs under a read-set capture, and a worklist
-/// sweep re-evaluates only components whose captured read set intersects
-/// the dirty set. The first pass of every cycle conservatively evaluates
-/// all components ("touch-all"), because `tick` may have changed internal
-/// state the scheduler cannot observe.
+/// By default the settle phase uses the **compiled scheduler**
+/// ([`EvalMode::Compiled`]): the pool records *which* signals change, every
+/// `eval` call runs under a read-set capture, and a sweep in levelized
+/// order re-evaluates only components whose read set intersects the dirty
+/// set, or whose last clock edge was not quiescent
+/// ([`Component::tick_changed_state`]). The first pass after construction,
+/// a mode switch, a restore or a schedule build conservatively evaluates
+/// all components ("touch-all").
 ///
 /// Both modes produce **bit-identical** signal trajectories: a skipped
 /// component's internal state is unchanged (no tick since its last eval)
@@ -211,24 +200,13 @@ pub struct Simulator {
     stats: SimStats,
     /// Cached [`Component::always_eval`] per component.
     always: Vec<bool>,
-    /// Per-component sensitivity set: the read set captured by the
-    /// component's most recent `eval`.
-    sens_reads: Vec<Vec<SignalId>>,
-    /// Per-component sensitivity generation; bumped whenever the captured
-    /// read set differs from the previous one.
-    sens_gen: Vec<u32>,
-    /// Per-signal watcher lists (lazily compacted; see [`Watcher`]).
-    watchers: Vec<Vec<Watcher>>,
-    /// Live watcher entries, for deciding when to rebuild.
-    watcher_entries: usize,
-    /// Total sensitivity-set sizes, for deciding when to rebuild.
-    sens_total: usize,
     /// Worklist flags for the current and the next settle pass.
     pending: Vec<bool>,
     pending_next: Vec<bool>,
     /// Force a full first pass on the next cycle: set at construction and
     /// whenever the scheduler's books may be stale (a component was added,
-    /// the eval mode changed, or an access scan ran evals outside capture).
+    /// the eval mode changed, a restore, or an access scan or schedule
+    /// build ran evals outside capture).
     touch_all_next: bool,
     /// Scratch buffers reused across evals to avoid per-eval allocation.
     read_scratch: Vec<SignalId>,
@@ -289,8 +267,8 @@ impl Simulator {
         &mut self.pool
     }
 
-    /// Adds a component to the design. Components are evaluated in the order
-    /// they were added (which only affects how quickly the fixed point is
+    /// Adds a component to the design. Insertion order breaks ties in the
+    /// evaluation order (which only affects how quickly the fixed point is
     /// reached, never the result).
     pub fn add_component(&mut self, component: impl Component + 'static) {
         self.always.push(component.always_eval());
@@ -308,15 +286,14 @@ impl Simulator {
         self.cycle
     }
 
-    /// Selects the settle-phase scheduler. [`EvalMode::Incremental`] is the
+    /// Selects the settle-phase scheduler. [`EvalMode::Compiled`] is the
     /// default; [`EvalMode::Full`] restores the original full-broadcast
     /// loop (the equivalence oracle). Switching mid-run is safe in either
     /// direction.
     pub fn set_eval_mode(&mut self, mode: EvalMode) {
         self.eval_mode = mode;
-        // Sensitivity sets are not maintained while in Full mode, so any
-        // switch invalidates the incremental scheduler's books — and the
-        // compiled scheduler's tick books, which other modes do not keep.
+        // Full mode keeps neither dirty-signal wakes nor tick books, so any
+        // switch invalidates the compiled scheduler's books.
         self.touch_all_next = true;
         self.invalidate_tick_books();
     }
@@ -364,7 +341,6 @@ impl Simulator {
         // Settle phase: iterate eval to a fixed point.
         match self.eval_mode {
             EvalMode::Full => self.settle_full()?,
-            EvalMode::Incremental => self.settle_incremental()?,
             EvalMode::Compiled => self.settle_compiled()?,
         }
         if let Some(vcd) = &mut self.vcd {
@@ -421,138 +397,6 @@ impl Simulator {
         Ok(())
     }
 
-    /// The sensitivity-driven incremental settle loop.
-    ///
-    /// Pass structure: the first pass of a cycle evaluates the components
-    /// that could have changed since their last eval — those whose clock
-    /// edge was not quiescent ([`Component::tick_changed_state`]), those
-    /// watching a signal that changed since the last settle (including
-    /// values a harness forced between cycles), and pinned
-    /// [`Component::always_eval`] components. Each eval runs under a
-    /// read-set capture that refreshes the component's sensitivity set, and
-    /// each signal the eval changed immediately schedules the signal's
-    /// watchers — later components into the *same* sweep (they would have
-    /// seen the new value in a full-broadcast pass too), earlier-or-equal
-    /// ones into the next pass. Sweeps visit components in insertion order,
-    /// preserving the full scheduler's determinism; the pass count is
-    /// bounded by the same `max_eval_iters` as full mode and trips
-    /// [`SimError::CombinationalLoop`] on the same cycle with the same
-    /// iteration count.
-    fn settle_incremental(&mut self) -> Result<(), SimError> {
-        let n = self.components.len();
-        self.ensure_sched_capacity();
-        self.maybe_rebuild_watchers();
-        for p in &mut self.pending_next {
-            *p = false;
-        }
-        let touch_all = std::mem::replace(&mut self.touch_all_next, false);
-        if touch_all {
-            self.pool.clear_changed();
-            for p in &mut self.pending {
-                *p = true;
-            }
-        } else {
-            // Signals that changed since the last settle (harness forces
-            // between cycles) wake their watchers.
-            let mut inter_cycle = std::mem::take(&mut self.dirty_scratch);
-            self.pool.drain_dirty(&mut inter_cycle);
-            for &s in &inter_cycle {
-                let mut list = std::mem::take(&mut self.watchers[s.index()]);
-                let before = list.len();
-                list.retain(|w| self.sens_gen[w.comp as usize] == w.gen);
-                self.watcher_entries -= before - list.len();
-                for w in &list {
-                    self.pending[w.comp as usize] = true;
-                }
-                self.watchers[s.index()] = list;
-            }
-            self.dirty_scratch = inter_cycle;
-            // Components whose clock edge was not quiescent must re-derive
-            // their combinational outputs from the new internal state.
-            for i in 0..n {
-                if self.always[i] || self.components[i].tick_changed_state() {
-                    self.pending[i] = true;
-                }
-            }
-        }
-        let mut read_scratch = std::mem::take(&mut self.read_scratch);
-        let mut dirty_scratch = std::mem::take(&mut self.dirty_scratch);
-        let mut iters = 0;
-        let result = loop {
-            let mut evals = 0u64;
-            let mut changed_this_pass = false;
-            for i in 0..n {
-                if !self.pending[i] {
-                    continue;
-                }
-                self.pending[i] = false;
-                self.pool.start_read_capture();
-                self.components[i].eval(&mut self.pool);
-                self.pool.take_read_capture(&mut read_scratch);
-                evals += 1;
-                if read_scratch != self.sens_reads[i] {
-                    // The read set changed (data-dependent control flow):
-                    // start a new sensitivity generation, implicitly
-                    // invalidating this component's old watcher entries.
-                    self.sens_gen[i] = self.sens_gen[i].wrapping_add(1);
-                    self.sens_total += read_scratch.len();
-                    self.sens_total -= self.sens_reads[i].len();
-                    std::mem::swap(&mut self.sens_reads[i], &mut read_scratch);
-                    let gen = self.sens_gen[i];
-                    let comp = u32::try_from(i).expect("component count fits u32");
-                    for &s in &self.sens_reads[i] {
-                        self.watchers[s.index()].push(Watcher { comp, gen });
-                        self.watcher_entries += 1;
-                    }
-                }
-                self.pool.drain_dirty(&mut dirty_scratch);
-                if !dirty_scratch.is_empty() {
-                    changed_this_pass = true;
-                    self.stats.dirty_signals += dirty_scratch.len() as u64;
-                    for &s in &dirty_scratch {
-                        let mut list = std::mem::take(&mut self.watchers[s.index()]);
-                        let before = list.len();
-                        list.retain(|w| self.sens_gen[w.comp as usize] == w.gen);
-                        self.watcher_entries -= before - list.len();
-                        for w in &list {
-                            let c = w.comp as usize;
-                            if c > i {
-                                self.pending[c] = true;
-                            } else {
-                                self.pending_next[c] = true;
-                            }
-                        }
-                        self.watchers[s.index()] = list;
-                    }
-                }
-            }
-            self.stats.evals += evals;
-            self.stats.skipped_evals += n as u64 - evals;
-            self.stats.settle_passes += 1;
-            if !changed_this_pass {
-                break Ok(());
-            }
-            iters += 1;
-            if iters >= self.max_eval_iters {
-                break Err(SimError::CombinationalLoop {
-                    cycle: self.cycle,
-                    iterations: self.max_eval_iters,
-                });
-            }
-            // `pending` was fully drained by the sweep, so after the swap it
-            // is the all-false buffer for the pass after next.
-            std::mem::swap(&mut self.pending, &mut self.pending_next);
-            for (i, &a) in self.always.iter().enumerate() {
-                if a {
-                    self.pending[i] = true;
-                }
-            }
-        };
-        self.read_scratch = read_scratch;
-        self.dirty_scratch = dirty_scratch;
-        result
-    }
-
     /// The levelized compiled settle.
     ///
     /// Entry rebuilds the schedule if it is missing (first compiled cycle,
@@ -564,11 +408,11 @@ impl Simulator {
     /// Every eval still runs under read capture: reads outside the compiled
     /// read set are unioned into the schedule's wake tables immediately, so
     /// wake propagation stays complete and any stale value is healed by a
-    /// backward wake into the next pass — the extra passes *are* the
-    /// incremental worklist fallback, with the same
-    /// [`SimError::CombinationalLoop`] bound.
+    /// backward wake into the next pass — the extra passes are the
+    /// worklist fallback, bounded by `max_eval_iters` exactly like
+    /// [`EvalMode::Full`], so a genuine loop trips
+    /// [`SimError::CombinationalLoop`] on the same cycle in both modes.
     fn settle_compiled(&mut self) -> Result<(), SimError> {
-        self.ensure_sched_capacity();
         self.ensure_compiled_capacity();
         if self.schedule.is_none() {
             self.recompile_budget = RECOMPILE_BUDGET;
@@ -815,11 +659,17 @@ impl Simulator {
         Ok(())
     }
 
-    /// Sizes the compiled scheduler's per-component tick books, with
-    /// conservative defaults for new components (tick pending, not quiet,
-    /// wake the settle, not skippable until a compile says otherwise).
+    /// Sizes the compiled scheduler's per-component worklist and tick
+    /// books to the current design (components may be added between runs),
+    /// with conservative defaults for new components (tick pending, not
+    /// quiet, wake the settle, not skippable until a compile says
+    /// otherwise).
     fn ensure_compiled_capacity(&mut self) {
         let n = self.components.len();
+        if self.pending.len() < n {
+            self.pending.resize(n, false);
+            self.pending_next.resize(n, false);
+        }
         if self.tick_pending.len() < n {
             self.tick_pending.resize(n, true);
             self.tick_quiet_cache.resize(n, false);
@@ -856,42 +706,6 @@ impl Simulator {
         }
     }
 
-    /// Sizes the scheduler's per-component and per-signal books to the
-    /// current design (components and signals may be added between runs).
-    fn ensure_sched_capacity(&mut self) {
-        let n = self.components.len();
-        if self.sens_reads.len() < n {
-            self.sens_reads.resize_with(n, Vec::new);
-            self.sens_gen.resize(n, 0);
-            self.pending.resize(n, false);
-            self.pending_next.resize(n, false);
-        }
-        let s = self.pool.len();
-        if self.watchers.len() < s {
-            self.watchers.resize_with(s, Vec::new);
-        }
-    }
-
-    /// Bounds stale-watcher accumulation: when lazily-invalidated entries
-    /// outnumber live sensitivity entries by 4x, rebuild every watcher list
-    /// from the current sensitivity sets.
-    fn maybe_rebuild_watchers(&mut self) {
-        if self.watcher_entries <= 4 * self.sens_total + 64 {
-            return;
-        }
-        for list in &mut self.watchers {
-            list.clear();
-        }
-        for (i, reads) in self.sens_reads.iter().enumerate() {
-            let gen = self.sens_gen[i];
-            let comp = u32::try_from(i).expect("component count fits u32");
-            for &s in reads {
-                self.watchers[s.index()].push(Watcher { comp, gen });
-            }
-        }
-        self.watcher_entries = self.sens_total;
-    }
-
     /// Runs every component's [`Component::eval`] exactly once with signal
     /// access logging enabled, returning each component's chronological
     /// read/write log.
@@ -915,7 +729,7 @@ impl Simulator {
             });
         }
         // The scan ran evals outside read capture and may have changed pool
-        // state, so any previously captured sensitivity sets are stale.
+        // state, so the dirty-signal wakes and tick books are stale.
         self.touch_all_next = true;
         self.invalidate_tick_books();
         out
@@ -932,7 +746,7 @@ impl Simulator {
     /// the blob into a *freshly built, structurally identical* simulator
     /// with [`Self::restore`] and running forward produces bit-identical
     /// signal trajectories to the original run, in either [`EvalMode`].
-    /// Scheduler bookkeeping (sensitivity sets, watcher lists) is not
+    /// Scheduler bookkeeping (the compiled schedule, tick books) is not
     /// captured; restore forces a touch-all settle pass that re-seeds it.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
@@ -985,7 +799,7 @@ impl Simulator {
     /// construction code.
     ///
     /// After a successful restore the next cycle begins with a forced
-    /// touch-all settle pass (the incremental scheduler's sensitivity books
+    /// touch-all settle pass (the compiled scheduler's wake and tick books
     /// are stale, exactly as after [`Self::access_scan`]); the settled
     /// signal values it produces are identical to a broadcast pass by eval
     /// idempotence, so the restored trajectory is bit-exact in both modes.
@@ -1037,9 +851,9 @@ impl Simulator {
         r.finish("simulator")?;
         self.cycle = cycle;
         self.stats = stats;
-        // The restored signal values invalidate every previously captured
-        // sensitivity set, exactly as after an access scan — and the
-        // compiled tick books, which describe the pre-restore trajectory.
+        // The restored signal values invalidate the dirty-signal wakes,
+        // exactly as after an access scan — and the compiled tick books,
+        // which describe the pre-restore trajectory.
         self.touch_all_next = true;
         self.invalidate_tick_books();
         Ok(())
@@ -1153,7 +967,6 @@ mod tests {
 
     fn all_modes(test: impl Fn(EvalMode)) {
         test(EvalMode::Full);
-        test(EvalMode::Incremental);
         test(EvalMode::Compiled);
     }
 
@@ -1321,7 +1134,7 @@ mod tests {
 
     #[test]
     fn data_dependent_read_sets_stay_sound() {
-        // A mux that switches inputs mid-run: the incremental scheduler must
+        // A mux that switches inputs mid-run: the default scheduler must
         // track the *current* read set, not the first one it saw.
         let mut sim = Simulator::new();
         let sel = sim.pool_mut().add("sel", 1);
@@ -1348,38 +1161,37 @@ mod tests {
     }
 
     #[test]
-    fn incremental_skips_evals_and_counts_them() {
-        let mut sim = Simulator::new();
-        let a = sim.pool_mut().add("a", 8);
-        let b = sim.pool_mut().add("b", 8);
-        let c = sim.pool_mut().add("c", 8);
-        sim.add_component(Wire { x: b, y: c });
-        sim.add_component(Wire { x: a, y: b });
-        sim.pool_mut().set_u64(a, 3);
-        sim.run(10).unwrap();
-        let inc = sim.stats().clone();
-        assert_eq!(inc.cycles, 10);
+    fn compiled_skips_evals_and_counts_them() {
+        let build = |mode: EvalMode| {
+            let mut sim = Simulator::new();
+            sim.set_eval_mode(mode);
+            let a = sim.pool_mut().add("a", 8);
+            let b = sim.pool_mut().add("b", 8);
+            let c = sim.pool_mut().add("c", 8);
+            sim.add_component(Wire { x: b, y: c });
+            sim.add_component(Wire { x: a, y: b });
+            sim.pool_mut().set_u64(a, 3);
+            sim.run(10).unwrap();
+            sim.stats().clone()
+        };
+        let comp = build(EvalMode::Compiled);
+        assert_eq!(comp.cycles, 10);
         assert!(
-            inc.skipped_evals > 0,
-            "steady-state cycles must skip evals: {inc:?}"
+            comp.skipped_evals > 0,
+            "steady-state cycles must skip evals: {comp:?}"
+        );
+        // Skipped evals are counted against the same settle passes a full
+        // broadcast would have run.
+        assert_eq!(
+            comp.evals + comp.skipped_evals,
+            2 * comp.settle_passes,
+            "evals + skips must cover every component on every pass: {comp:?}"
         );
         // The full oracle over the same design executes more evals.
-        let mut full = Simulator::new();
-        full.set_eval_mode(EvalMode::Full);
-        let a = full.pool_mut().add("a", 8);
-        let b = full.pool_mut().add("b", 8);
-        let c = full.pool_mut().add("c", 8);
-        full.add_component(Wire { x: b, y: c });
-        full.add_component(Wire { x: a, y: b });
-        full.pool_mut().set_u64(a, 3);
-        full.run(10).unwrap();
-        assert!(full.stats().evals > inc.evals);
-        assert_eq!(full.stats().skipped_evals, 0);
-        assert_eq!(
-            full.stats().evals,
-            inc.evals + inc.skipped_evals,
-            "full evals must equal incremental evals + skips over identical settle passes"
-        );
+        let full = build(EvalMode::Full);
+        assert!(full.evals > comp.evals);
+        assert_eq!(full.skipped_evals, 0);
+        assert_eq!(full.evals, 2 * full.settle_passes);
     }
 
     /// Not a pure function of its reads: exposes an internal value that
@@ -1623,20 +1435,31 @@ mod tests {
 
     #[test]
     fn always_eval_components_run_every_pass() {
-        let mut sim = Simulator::new();
-        let a = sim.pool_mut().add("a", 8);
-        let b = sim.pool_mut().add("b", 8);
-        let o = sim.pool_mut().add("o", 8);
-        let evals = std::rc::Rc::new(std::cell::Cell::new(0));
-        sim.add_component(Pinned {
-            out: o,
-            evals: std::rc::Rc::clone(&evals),
+        all_modes(|mode| {
+            let mut sim = Simulator::new();
+            sim.set_eval_mode(mode);
+            let a = sim.pool_mut().add("a", 8);
+            let b = sim.pool_mut().add("b", 8);
+            let o = sim.pool_mut().add("o", 8);
+            let evals = std::rc::Rc::new(std::cell::Cell::new(0));
+            sim.add_component(Pinned {
+                out: o,
+                evals: std::rc::Rc::clone(&evals),
+            });
+            sim.add_component(Wire { x: a, y: b });
+            for v in 1..=5 {
+                sim.pool_mut().set_u64(a, v);
+                sim.run_cycle().unwrap();
+            }
+            // The pinned component runs on every settle pass. Under
+            // Compiled, each schedule build also evals it once in the
+            // footprint scan, which `SimStats::evals` does not count.
+            let stats = sim.stats();
+            let scans = match mode {
+                EvalMode::Full => 0,
+                EvalMode::Compiled => stats.recompiles,
+            };
+            assert_eq!(evals.get(), stats.settle_passes + scans, "{mode:?}");
         });
-        sim.add_component(Wire { x: a, y: b });
-        sim.pool_mut().set_u64(a, 1);
-        sim.run_cycle().unwrap();
-        // Pass 0 touches all; the `a -> b` change forces a second pass, and
-        // the pinned component must be in it as well.
-        assert_eq!(evals.get(), sim.stats().settle_passes);
     }
 }

@@ -108,7 +108,7 @@ pub fn lint_design(spec: &DesignSpec) -> Vec<Diagnostic> {
 
     // ── VL002: multiple drivers ──────────────────────────────────────────
     // Reader/writer tables come from the same deduplicated read/write sets
-    // the incremental scheduler uses as sensitivity sets.
+    // the compiled scheduler seeds its schedule with.
     let mut writers: Vec<Vec<usize>> = vec![Vec::new(); spec.signals.len()];
     let mut readers: Vec<Vec<usize>> = vec![Vec::new(); spec.signals.len()];
     for (ci, comp) in spec.components.iter().enumerate() {

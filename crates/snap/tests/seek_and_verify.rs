@@ -39,7 +39,7 @@ fn seek_matches_straight_replay_in_both_eval_modes() {
         "replay long enough to checkpoint at least once past cycle 0"
     );
 
-    for mode in [EvalMode::Incremental, EvalMode::Full] {
+    for mode in [EvalMode::Compiled, EvalMode::Full] {
         for target in [1000, 2048, 3000, log.final_cycle] {
             let target = target.min(log.final_cycle);
             // Straight run: a fresh session rolled forward from cycle 0.

@@ -1,7 +1,7 @@
 //! Cross-mode seek equivalence: `replay_from` to an arbitrary cycle must
 //! land on the *same state* (`state_digest`) as a straight replay from
-//! cycle 0 — in every scheduler ([`EvalMode::Full`], `Incremental`,
-//! `Compiled`]) and for any seek target, including checkpoint boundaries,
+//! cycle 0 — in both schedulers ([`EvalMode::Full`] and
+//! [`EvalMode::Compiled`]) and for any seek target, including checkpoint boundaries,
 //! boundary±1, cycle 0 and the final cycle. The debugger's `seek`/`rstep`
 //! rest entirely on this property.
 
@@ -75,7 +75,7 @@ fn seek_digest(mode: EvalMode, target: u64) -> u64 {
 }
 
 #[test]
-fn seek_matches_straight_run_in_all_three_eval_modes() {
+fn seek_matches_straight_run_in_both_eval_modes() {
     let (_, log) = fixture();
     // Checkpoint boundaries, off-by-one neighbours, cycle 0, final cycle.
     let targets = [
@@ -88,7 +88,7 @@ fn seek_matches_straight_run_in_all_three_eval_modes() {
         log.final_cycle - 1,
         log.final_cycle,
     ];
-    for mode in [EvalMode::Full, EvalMode::Incremental, EvalMode::Compiled] {
+    for mode in [EvalMode::Full, EvalMode::Compiled] {
         for target in targets {
             let target = target.min(log.final_cycle);
             assert_eq!(
@@ -102,13 +102,14 @@ fn seek_matches_straight_run_in_all_three_eval_modes() {
 
 #[test]
 fn modes_agree_with_each_other_after_seek() {
-    // The three schedulers must not merely each be self-consistent — they
+    // The two schedulers must not merely each be self-consistent — they
     // must land on the identical state for the same target.
     let (_, log) = fixture();
     let target = (log.final_cycle / 2).max(1);
-    let full = seek_digest(EvalMode::Full, target);
-    assert_eq!(full, seek_digest(EvalMode::Incremental, target));
-    assert_eq!(full, seek_digest(EvalMode::Compiled, target));
+    assert_eq!(
+        seek_digest(EvalMode::Full, target),
+        seek_digest(EvalMode::Compiled, target)
+    );
 }
 
 proptest! {
@@ -116,10 +117,10 @@ proptest! {
 
     /// Random seek targets across the whole execution, random scheduler.
     #[test]
-    fn random_seek_targets_are_bit_exact(target in 0u64..=4096, mode_ix in 0usize..3) {
+    fn random_seek_targets_are_bit_exact(target in 0u64..=4096, mode_ix in 0usize..2) {
         let (_, log) = fixture();
         let target = target.min(log.final_cycle);
-        let mode = [EvalMode::Full, EvalMode::Incremental, EvalMode::Compiled][mode_ix];
+        let mode = [EvalMode::Full, EvalMode::Compiled][mode_ix];
         prop_assert_eq!(
             seek_digest(mode, target),
             straight_digest(mode, target),

@@ -1372,23 +1372,25 @@ mod tests {
     fn repetitive_stream_compresses() {
         let t = repetitive(600);
         let mut raw_sink = TraceSink::new(Vec::new(), t.layout(), true, 4);
-        let mut col_sink =
-            TraceSink::with_codec(Vec::new(), t.layout(), true, 4, CodecId::Columnar);
+        let mut dict_sink =
+            TraceSink::with_codec(Vec::new(), t.layout(), true, 4, CodecId::XorDict);
         for p in t.packets() {
             raw_sink.push(p).unwrap();
-            col_sink.push(p).unwrap();
+            dict_sink.push(p).unwrap();
         }
-        let savings = col_sink.take_compression_savings();
+        let savings = dict_sink.take_compression_savings();
         assert!(savings > 0, "compression must report savings");
         let raw = raw_sink.finish().unwrap();
-        let col = col_sink.finish().unwrap();
+        let dict = dict_sink.finish().unwrap();
+        // 1.68x measured: the starts/ends bit-vectors alternate every
+        // packet, so only the content words collapse to tokens.
         assert!(
-            col.len() * 2 < raw.len(),
-            "columnar {} vs raw {}",
-            col.len(),
+            dict.len() * 3 < raw.len() * 2,
+            "xor-dict {} vs raw {}",
+            dict.len(),
             raw.len()
         );
-        let mut src = TraceSource::open(col.as_slice(), 4).unwrap();
+        let mut src = TraceSource::open(dict.as_slice(), 4).unwrap();
         let got: Vec<CyclePacket> = src.cycles().map(|p| p.unwrap()).collect();
         assert_eq!(got.as_slice(), t.packets());
     }
@@ -1455,20 +1457,19 @@ mod tests {
     #[test]
     fn compressed_tail_image_certifies_staged_packets() {
         let t = sample(45, true);
-        for codec in CodecId::COMPRESSED {
-            let mut sink = TraceSink::with_codec(Vec::new(), t.layout(), true, 2, codec);
-            for p in t.packets() {
-                sink.push(p).unwrap();
-            }
-            let mut image = sink.backend().clone();
-            image.extend_from_slice(&sink.unflushed_tail_image());
-            let rec = crate::recover_trace(&image).unwrap();
-            assert_eq!(rec.recovered_packets, 45, "codec {codec}");
-            assert_eq!(rec.trace.packets(), t.packets(), "codec {codec}");
-            // The sink is undisturbed: the open block keeps accumulating.
-            sink.push(&t.packets()[0].clone()).unwrap();
-            assert_eq!(sink.packets(), 46, "codec {codec}");
+        let codec = CodecId::XorDict;
+        let mut sink = TraceSink::with_codec(Vec::new(), t.layout(), true, 2, codec);
+        for p in t.packets() {
+            sink.push(p).unwrap();
         }
+        let mut image = sink.backend().clone();
+        image.extend_from_slice(&sink.unflushed_tail_image());
+        let rec = crate::recover_trace(&image).unwrap();
+        assert_eq!(rec.recovered_packets, 45, "codec {codec}");
+        assert_eq!(rec.trace.packets(), t.packets(), "codec {codec}");
+        // The sink is undisturbed: the open block keeps accumulating.
+        sink.push(&t.packets()[0].clone()).unwrap();
+        assert_eq!(sink.packets(), 46, "codec {codec}");
     }
 
     #[test]
@@ -1501,24 +1502,23 @@ mod tests {
     #[test]
     fn compressed_seek_roundtrip() {
         let t = sample(120, true);
-        for codec in CodecId::COMPRESSED {
-            let mut sink = TraceSink::with_codec(Vec::new(), t.layout(), true, 2, codec);
-            for p in t.packets() {
-                sink.push(p).unwrap();
+        let codec = CodecId::XorDict;
+        let mut sink = TraceSink::with_codec(Vec::new(), t.layout(), true, 2, codec);
+        for p in t.packets() {
+            sink.push(p).unwrap();
+        }
+        let bytes = sink.finish().unwrap();
+        let mut src = TraceSource::open(bytes.as_slice(), 2).unwrap();
+        for skip in [0u64, 7, 40, 95] {
+            let mut fresh = TraceSource::open(bytes.as_slice(), 2).unwrap();
+            for _ in 0..skip {
+                fresh.next_packet().unwrap().unwrap();
             }
-            let bytes = sink.finish().unwrap();
-            let mut src = TraceSource::open(bytes.as_slice(), 2).unwrap();
-            for skip in [0u64, 7, 40, 95] {
-                let mut fresh = TraceSource::open(bytes.as_slice(), 2).unwrap();
-                for _ in 0..skip {
-                    fresh.next_packet().unwrap().unwrap();
-                }
-                let mark = fresh.position();
-                assert_eq!(mark.packets_read, skip, "codec {codec}");
-                src.seek(mark).unwrap();
-                let got = src.next_packet().unwrap().unwrap();
-                assert_eq!(got, t.packets()[skip as usize], "codec {codec} @{skip}");
-            }
+            let mark = fresh.position();
+            assert_eq!(mark.packets_read, skip, "codec {codec}");
+            src.seek(mark).unwrap();
+            let got = src.next_packet().unwrap().unwrap();
+            assert_eq!(got, t.packets()[skip as usize], "codec {codec} @{skip}");
         }
     }
 
@@ -1582,31 +1582,30 @@ mod tests {
     #[test]
     fn torn_compressed_tail_recovers_block_prefix() {
         let t = sample(400, true);
-        for codec in CodecId::COMPRESSED {
-            let mut sink = TraceSink::with_codec(Vec::new(), t.layout(), true, 2, codec);
-            for p in t.packets() {
-                sink.push(p).unwrap();
-            }
-            // Crash without finalize: only flushed chunks survive.
-            let survived = sink.backend().clone();
-            assert!(sink.chunks_flushed() >= 3, "codec {codec}");
-            let rec = crate::recover_trace(&survived).unwrap();
-            assert!(rec.recovered_packets > 0, "codec {codec}");
+        let codec = CodecId::XorDict;
+        let mut sink = TraceSink::with_codec(Vec::new(), t.layout(), true, 2, codec);
+        for p in t.packets() {
+            sink.push(p).unwrap();
+        }
+        // Crash without finalize: only flushed chunks survive.
+        let survived = sink.backend().clone();
+        assert!(sink.chunks_flushed() >= 3, "codec {codec}");
+        let rec = crate::recover_trace(&survived).unwrap();
+        assert!(rec.recovered_packets > 0, "codec {codec}");
+        assert_eq!(
+            rec.trace.packets(),
+            &t.packets()[..rec.recovered_packets as usize],
+            "codec {codec}"
+        );
+        // Arbitrary further truncation still yields a clean prefix —
+        // never a panic, never garbage packets.
+        for cut in [survived.len() - 1, survived.len() - 63, survived.len() / 2] {
+            let rec = crate::recover_trace(&survived[..cut]).unwrap();
             assert_eq!(
                 rec.trace.packets(),
                 &t.packets()[..rec.recovered_packets as usize],
-                "codec {codec}"
+                "codec {codec} cut {cut}"
             );
-            // Arbitrary further truncation still yields a clean prefix —
-            // never a panic, never garbage packets.
-            for cut in [survived.len() - 1, survived.len() - 63, survived.len() / 2] {
-                let rec = crate::recover_trace(&survived[..cut]).unwrap();
-                assert_eq!(
-                    rec.trace.packets(),
-                    &t.packets()[..rec.recovered_packets as usize],
-                    "codec {codec} cut {cut}"
-                );
-            }
         }
     }
 
@@ -1627,13 +1626,13 @@ mod tests {
     #[test]
     fn compressed_sink_parts_roundtrip() {
         let t = sample(25, true);
-        let mut sink = TraceSink::with_codec(Vec::new(), t.layout(), true, 2, CodecId::Columnar);
+        let mut sink = TraceSink::with_codec(Vec::new(), t.layout(), true, 2, CodecId::XorDict);
         for p in &t.packets()[..10] {
             sink.push(p).unwrap();
         }
         let parts = sink.save_parts();
         assert!(!parts.blk_raw.is_empty(), "open block must be captured");
-        let mut clone = TraceSink::with_codec(Vec::new(), t.layout(), true, 2, CodecId::Columnar);
+        let mut clone = TraceSink::with_codec(Vec::new(), t.layout(), true, 2, CodecId::XorDict);
         clone.restore_parts(parts.clone());
         assert_eq!(clone.save_parts(), parts);
         assert_eq!(clone.unflushed_tail_image(), sink.unflushed_tail_image());
@@ -1642,7 +1641,7 @@ mod tests {
     #[test]
     fn bytes_written_matches_stream_length() {
         let t = sample(80, true);
-        for codec in [CodecId::Raw, CodecId::Columnar] {
+        for codec in CodecId::ALL {
             let mut sink = TraceSink::with_codec(Vec::new(), t.layout(), true, 2, codec);
             for p in t.packets() {
                 sink.push(p).unwrap();
@@ -1651,6 +1650,31 @@ mod tests {
             let written = sink.bytes_written();
             let bytes = sink.finish().unwrap();
             assert_eq!(written, bytes.len() as u64, "codec {codec}");
+        }
+    }
+
+    #[test]
+    fn retired_header_codec_ids_are_typed_errors() {
+        // Patch the header's codec byte (magic, version, roc, then codec)
+        // to each retired id and re-seal the first word's CRC, so only the
+        // codec id is wrong.
+        let t = sample(30, true);
+        let mut sink = TraceSink::with_codec(Vec::new(), t.layout(), true, 2, CodecId::XorDict);
+        for p in t.packets() {
+            sink.push(p).unwrap();
+        }
+        let bytes = sink.finish().unwrap();
+        assert_eq!(bytes[7], CodecId::XorDict as u8, "codec byte offset");
+        for retired in [1u8, 3] {
+            let mut bad = bytes.clone();
+            bad[7] = retired;
+            let crc = crc32(&bad[..STORAGE_WORD_BYTES - 4]);
+            bad[STORAGE_WORD_BYTES - 4..STORAGE_WORD_BYTES].copy_from_slice(&crc.to_le_bytes());
+            match TraceSource::open(bad.as_slice(), 2) {
+                Err(TraceError::UnsupportedCodec { codec }) => assert_eq!(codec, retired),
+                other => panic!("codec {retired}: expected UnsupportedCodec, got {other:?}"),
+            }
+            assert!(crate::recover_trace(&bad).is_err(), "codec {retired}");
         }
     }
 }

@@ -29,21 +29,19 @@ echo "── streaming soak: bounded-memory record + kill-recovery gate ──"
 # asserts the torn file recovers to a bit-exact, replayable prefix.
 cargo test -q --release --test streaming_soak
 
-echo "── codec round-trip: raw -> compressed -> raw byte-identity ────"
-# Records a catalog app to a framed chunk stream, transcodes it through
-# every compressed codec and back to raw, and requires the reconstructed
-# raw stream to be byte-identical to the original — codec negotiation and
-# the transcoder preserve the stream exactly, not merely semantically.
+echo "── codec round-trip: raw -> xor-dict -> raw byte-identity ──────"
+# Records a catalog app to a framed chunk stream, transcodes it to xor-dict
+# and back to raw, and requires the reconstructed raw stream to be
+# byte-identical to the original — codec negotiation and the transcoder
+# preserve the stream exactly, not merely semantically.
 tt=(cargo run --release -q -p vidi-bench --bin trace_tool --)
 convert_dir="$(mktemp -d)"
 trap 'rm -rf "$convert_dir"' EXIT
 "${tt[@]}" sample "$convert_dir/orig.vidi" --app sha --seed 9
-for codec in delta-rle xor-dict columnar; do
-    "${tt[@]}" convert "$convert_dir/orig.vidi" "$convert_dir/$codec.vidi" --codec "$codec"
-    "${tt[@]}" convert "$convert_dir/$codec.vidi" "$convert_dir/$codec-back.vidi" --codec raw
-    cmp "$convert_dir/orig.vidi" "$convert_dir/$codec-back.vidi" \
-        || { echo "FAIL: $codec round-trip is not byte-identical"; exit 1; }
-done
+"${tt[@]}" convert "$convert_dir/orig.vidi" "$convert_dir/xor-dict.vidi" --codec xor-dict
+"${tt[@]}" convert "$convert_dir/xor-dict.vidi" "$convert_dir/xor-dict-back.vidi" --codec raw
+cmp "$convert_dir/orig.vidi" "$convert_dir/xor-dict-back.vidi" \
+    || { echo "FAIL: xor-dict round-trip is not byte-identical"; exit 1; }
 
 echo "── vidi debug: scripted time-travel session on both case studies ─"
 # §3.6: record the naturally-diverging DMA poll (seed 42), then drive a
@@ -91,14 +89,14 @@ echo "── vidi-lint: static design lint + trace-analysis gate ─────
 cargo run --release -q -p vidi-lint -- ci --config scripts/vidi-lint.allow
 
 echo "── bench smoke: scheduler equivalence + evals/cycle gate ───────"
-# Emits BENCH_sim.json and fails on trace divergence between the three
-# schedulers (full / incremental / compiled), <2x eval reduction on half
-# the catalog, <2x compiled wall-clock speedup over incremental on half
-# the catalog (with all-zero tick_skips treated as a vacuous-gate
-# failure), any codec round-trip mismatch, <3x best-codec compression on
-# half the catalog (all-raw ratios are a vacuous-gate failure), or a
-# per-mode evals/cycle or compression-ratio regression against the
-# committed baseline.
+# Emits BENCH_sim.json and fails on trace divergence between the two
+# schedulers (full / compiled), <2x eval reduction (full / compiled
+# evals/cycle) on half the catalog, <5x compiled wall-clock speedup over
+# full on half the catalog (with all-zero tick_skips treated as a
+# vacuous-gate failure), any xor-dict round-trip mismatch, <3x xor-dict
+# compression on half the catalog (all-raw ratios are a vacuous-gate
+# failure), or a compiled evals/cycle or compression-ratio regression
+# against the committed baseline.
 cargo run --release -q -p vidi-bench --bin bench_sim -- \
     --out BENCH_sim.json --baseline scripts/bench_sim_baseline.json
 

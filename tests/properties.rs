@@ -302,7 +302,7 @@ proptest! {
     fn compressed_streaming_roundtrip_is_bit_exact(
         trace in arb_trace(),
         chunk_words in 1usize..9,
-        which in 0usize..4,
+        which in 0usize..vidi_repro::trace::CodecId::ALL.len(),
     ) {
         use vidi_repro::trace::{CodecId, TraceSink, TraceSource};
         let codec = CodecId::ALL[which];
@@ -338,7 +338,7 @@ proptest! {
     fn compressed_corruption_recovers_certified_prefix(
         trace in arb_trace(),
         chunk_words in 1usize..9,
-        which in 0usize..4,
+        which in 0usize..vidi_repro::trace::CodecId::ALL.len(),
         flip in any::<u64>(),
         cut in any::<u64>(),
     ) {

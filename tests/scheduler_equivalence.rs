@@ -1,12 +1,11 @@
-//! Scheduler equivalence suite: the sensitivity-driven incremental
-//! scheduler and the levelized compiled scheduler must both be
-//! observationally indistinguishable from the full broadcast scheduler.
+//! Scheduler equivalence suite: the levelized compiled scheduler (the
+//! default) must be observationally indistinguishable from the full
+//! broadcast scheduler, the reference oracle.
 //!
 //! Three layers of evidence, strongest first:
 //!
 //! 1. **Catalog traces** — every catalog application records a
-//!    byte-for-byte identical trace (and cycle count) under all three
-//!    modes.
+//!    byte-for-byte identical trace (and cycle count) under both modes.
 //! 2. **Case-study lockstep** — the buggy and fixed variants of both case
 //!    studies run cycle-by-cycle in lockstep with *every pool signal*
 //!    compared after each cycle, which is strictly stronger than trace
@@ -14,7 +13,7 @@
 //! 3. **Random DAGs** — a proptest builds random combinational/registered
 //!    component graphs (including data-dependent read sets, the case a
 //!    static schedule gets wrong) under random stimulus and checks the
-//!    three schedulers never diverge on any signal; a deterministic
+//!    two schedulers never diverge on any signal; a deterministic
 //!    companion pins an adversarial DAG that forces the compiled
 //!    scheduler through its deopt-and-recompile path, asserted via
 //!    [`SimStats::deopts`](vidi_repro::hwsim::SimStats).
@@ -33,7 +32,7 @@ use vidi_repro::hwsim::{Component, EvalMode, SignalId, SignalPool, Simulator};
 const BUDGET: u64 = 2_000_000;
 
 /// Every scheduler backend, reference mode first.
-const MODES: [EvalMode; 3] = [EvalMode::Full, EvalMode::Incremental, EvalMode::Compiled];
+const MODES: [EvalMode; 2] = [EvalMode::Full, EvalMode::Compiled];
 
 // ─────────────────── 1. Catalog: bit-identical traces ──────────────────────
 
@@ -71,15 +70,9 @@ fn catalog_traces_identical_across_schedulers() {
                 app.label()
             );
         }
-        // Equivalence must come from real work-skipping, not from both
-        // backends silently degenerating to broadcast.
-        let inc = &outcomes[1];
-        assert!(
-            inc.sim_stats.skipped_evals > 0,
-            "{}: incremental scheduler never skipped an eval",
-            app.label()
-        );
-        let compiled = &outcomes[2];
+        // Equivalence must come from real work-skipping, not from the
+        // compiled backend silently degenerating to broadcast.
+        let compiled = &outcomes[1];
         assert!(
             compiled.sim_stats.skipped_evals > 0,
             "{}: compiled scheduler never skipped an eval",
@@ -218,8 +211,8 @@ impl Component for XorGate {
 /// Combinational mux with a **data-dependent read set**: depending on the
 /// low bit of `sel` it reads only `a` or only `b`. This is the shape that
 /// breaks static sensitivity analyses and static schedules alike: it
-/// exercises per-eval re-capture in the incremental scheduler and the
-/// deopt fallback in the compiled one.
+/// exercises per-eval read re-capture and the deopt fallback of the
+/// compiled scheduler.
 struct MuxGate {
     sel: SignalId,
     a: SignalId,
@@ -323,7 +316,7 @@ fn build_dag(n_inputs: usize, nodes: &[NodeSpec]) -> (Simulator, Vec<SignalId>) 
 /// (edge-free components levelize in reverse insertion order). Flipping
 /// `sel` in the same cycle as a data change makes the mux read the xor's
 /// output before the xor has run — a backward wake, the deopt case — yet
-/// all three schedulers must still converge to identical signals.
+/// both schedulers must still converge to identical signals.
 #[test]
 fn compiled_deopt_path_is_exercised_and_stays_equivalent() {
     let nodes = [
@@ -355,7 +348,7 @@ fn compiled_deopt_path_is_exercised_and_stays_equivalent() {
         // Post-recompile cycles run on the corrected schedule.
         _ => pool.set_u64(inputs[0], 5 + c),
     });
-    let (_, compiled) = &sims[2];
+    let (_, compiled) = &sims[1];
     assert!(
         compiled.stats().deopts >= 1,
         "adversarial DAG never took the deopt path: {:?}",
