@@ -1,5 +1,5 @@
-//! Multi-tenant fleet throughput and isolation measurement behind
-//! `BENCH_fleet.json`.
+//! Multi-tenant fleet throughput and isolation measurement: the `fleet`
+//! suite of `BENCH.json`.
 //!
 //! Runs the canonical eight-tenant mix — four clean recordings plus four
 //! distinct fault schedules (injected engine panic, permanently failing
@@ -19,11 +19,12 @@
 
 use std::time::Instant;
 
-use vidi_apps::{build_app_with_faults, AppId, Scale};
-use vidi_core::FaultInjection;
+use vidi_apps::{build_app_with_faults, AppId, BuiltApp, Scale};
+use vidi_core::{FaultInjection, SessionCursor, Stop, StopReason};
 use vidi_faults::{CorruptionSpec, FaultSpec, StorageFailureSpec, WindowSpec};
 use vidi_fleet::{Fleet, FleetConfig, SessionId, SessionSpec, SessionState};
 
+use crate::gate::{row_json, Gate, SuiteReport, SuiteSpec};
 use crate::json::{obj, Json};
 
 /// Cycle budget for the tenants designed to wedge (see the fleet soak).
@@ -175,14 +176,16 @@ fn solo_image(spec: &SessionSpec) -> Vec<u8> {
         .shim
         .stream_to(Box::new(image.clone()))
         .expect("no chunk flushed yet");
-    let handles = built.cpu.clone();
-    let mut cycles = 0u64;
-    while !handles.iter().all(|h| h.borrow().finished) {
-        built.sim.run(256).expect("solo run progresses");
-        cycles += 256;
-        assert!(cycles < spec.max_cycles, "solo baseline wedged");
-    }
-    built.sim.run(4096).expect("solo flush margin");
+    let mut cursor = SessionCursor::new(&mut built);
+    let ev = cursor
+        .run_until(
+            Stop::when(|b: &mut BuiltApp| b.cpu.iter().all(|h| h.borrow().finished))
+                .or_at_cycle(spec.max_cycles)
+                .check_every(256),
+        )
+        .expect("solo run progresses");
+    assert_eq!(ev.reason, StopReason::PredicateTrue, "solo baseline wedged");
+    cursor.flush().expect("solo flush margin");
     built.shim.finalize_recording().expect("solo finalize");
     image.snapshot()
 }
@@ -253,138 +256,180 @@ pub fn measure_fleet(workers: usize) -> FleetBenchReport {
     }
 }
 
-/// Serializes the report into the `BENCH_fleet.json` document.
-pub fn to_json(report: &FleetBenchReport, workers: usize) -> Json {
-    let tenants = report
-        .rows
-        .iter()
-        .map(|r| {
-            obj([
-                ("name", Json::Str(r.name.clone())),
-                ("outcome", Json::Str(r.outcome.clone())),
-                ("cause", Json::Str(r.cause.clone())),
-                ("cycles", Json::Num(r.cycles as f64)),
-                ("packets", Json::Num(r.packets as f64)),
-                ("codec", Json::Str(r.codec.clone())),
-                ("bytes_written", Json::Num(r.bytes_written as f64)),
-                ("bit_identical", Json::Bool(r.bit_identical)),
-            ])
-        })
-        .collect();
-    obj([
-        ("schema", Json::Str("vidi-bench-fleet/2".into())),
-        ("workers", Json::Num(workers as f64)),
-        ("tenants", Json::Arr(tenants)),
-        ("wall_ms", Json::Num(report.wall_ms)),
-        ("sessions_per_sec", Json::Num(report.sessions_per_sec)),
-        (
-            "aggregate_cycles_per_sec",
-            Json::Num(report.aggregate_cycles_per_sec),
-        ),
-        ("budget_bytes", Json::Num(report.budget as f64)),
-        (
-            "peak_reserved_bytes",
-            Json::Num(report.peak_reserved as f64),
-        ),
-        (
-            "sum_peak_buffered_bytes",
-            Json::Num(report.sum_peak_buffered as f64),
-        ),
-        (
-            "reservation_within_budget",
-            Json::Bool(report.reservation_within_budget),
-        ),
-        (
-            "buffering_within_budget",
-            Json::Bool(report.buffering_within_budget),
-        ),
-    ])
+/// The fleet suite's baseline gates: per tenant, the terminal outcome,
+/// the failure cause and clean-tenant bit-identity; for the soak, both
+/// within-budget checks.
+pub const SUITE: SuiteSpec = SuiteSpec {
+    name: "fleet",
+    key: "name",
+    rows: &[
+        ("outcome", Gate::Exact),
+        ("cause", Gate::Exact),
+        ("bit_identical", Gate::Exact),
+    ],
+    summary: &[
+        ("reservation_within_budget", Gate::Exact),
+        ("buffering_within_budget", Gate::Exact),
+    ],
+};
+
+/// Runs the soak on `workers` worker threads and judges it against the
+/// absolute gates: the `fleet` suite of `bench_gate`.
+pub fn suite(workers: usize) -> SuiteReport {
+    let report = measure_fleet(workers);
+    SuiteReport {
+        spec: &SUITE,
+        summary: obj([
+            ("wall_ms", Json::Num(report.wall_ms)),
+            ("sessions_per_sec", Json::Num(report.sessions_per_sec)),
+            (
+                "aggregate_cycles_per_sec",
+                Json::Num(report.aggregate_cycles_per_sec),
+            ),
+            ("budget_bytes", Json::Num(report.budget as f64)),
+            (
+                "peak_reserved_bytes",
+                Json::Num(report.peak_reserved as f64),
+            ),
+            (
+                "sum_peak_buffered_bytes",
+                Json::Num(report.sum_peak_buffered as f64),
+            ),
+            (
+                "reservation_within_budget",
+                Json::Bool(report.reservation_within_budget),
+            ),
+            (
+                "buffering_within_budget",
+                Json::Bool(report.buffering_within_budget),
+            ),
+        ]),
+        failures: failures(&report),
+        rows: report
+            .rows
+            .iter()
+            .map(|r| {
+                row_json!(
+                    r,
+                    [
+                        name,
+                        outcome,
+                        cause,
+                        cycles,
+                        packets,
+                        codec,
+                        bytes_written,
+                        bit_identical,
+                    ]
+                )
+            })
+            .collect(),
+    }
 }
 
-/// Compares a current document to the committed baseline on deterministic
-/// fields only: per-tenant outcome and cause labels, bit-identity, and the
-/// within-budget booleans. Wall-clock rates are never gated.
+/// Every absolute gate over a soak: clean tenants complete, their traces
+/// are bit-identical to solo runs, and neither the peak reservation nor
+/// the aggregate peak buffering passes the budget.
 ///
-/// # Errors
-///
-/// Returns every detected drift as a human-readable failure line.
-pub fn compare_to_baseline(current: &Json, baseline: &Json) -> Result<(), Vec<String>> {
+/// Returns the list of violations, empty when every gate passes.
+pub fn failures(report: &FleetBenchReport) -> Vec<String> {
     let mut failures = Vec::new();
-    let rows = |doc: &Json| -> Vec<(String, String, String, bool)> {
-        doc.get("tenants")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
+    let tenants = |pred: fn(&FleetBenchRow) -> bool| -> Vec<&str> {
+        report
+            .rows
             .iter()
-            .filter_map(|r| {
-                Some((
-                    r.get("name")?.as_str()?.to_string(),
-                    r.get("outcome")?.as_str()?.to_string(),
-                    r.get("cause")?.as_str()?.to_string(),
-                    r.get("bit_identical")?.as_bool()?,
-                ))
-            })
+            .filter(|r| pred(r))
+            .map(|r| r.name.as_str())
             .collect()
     };
-    let cur = rows(current);
-    for (name, base_outcome, base_cause, base_ident) in rows(baseline) {
-        match cur.iter().find(|(n, _, _, _)| *n == name) {
-            None => failures.push(format!("{name}: present in baseline but not measured")),
-            Some((_, outcome, cause, ident)) => {
-                if *outcome != base_outcome {
-                    failures.push(format!(
-                        "{name}: outcome drifted {base_outcome:?} -> {outcome:?}"
-                    ));
-                }
-                if *cause != base_cause {
-                    failures.push(format!("{name}: cause drifted {base_cause:?} -> {cause:?}"));
-                }
-                if base_ident && !ident {
-                    failures.push(format!("{name}: trace no longer bit-identical to solo"));
-                }
-            }
-        }
+    let broken_clean = tenants(|r| r.cause == "-" && r.outcome != "completed");
+    if !broken_clean.is_empty() {
+        failures.push(format!("clean tenants did not complete: {broken_clean:?}"));
     }
-    for key in ["reservation_within_budget", "buffering_within_budget"] {
-        let base = baseline.get(key).and_then(Json::as_bool).unwrap_or(true);
-        let cur_v = current.get(key).and_then(Json::as_bool).unwrap_or(false);
-        if base && !cur_v {
-            failures.push(format!("{key} regressed to false"));
-        }
+    let diverged = tenants(|r| !r.bit_identical);
+    if !diverged.is_empty() {
+        failures.push(format!(
+            "clean tenant traces diverged from solo runs: {diverged:?}"
+        ));
     }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures)
+    if !report.reservation_within_budget {
+        failures.push(format!(
+            "peak reservation {} B exceeded the budget {} B",
+            report.peak_reserved, report.budget
+        ));
     }
+    if !report.buffering_within_budget {
+        failures.push(format!(
+            "aggregate peak buffering {} B exceeded the budget {} B",
+            report.sum_peak_buffered, report.budget
+        ));
+    }
+    failures
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn doc(outcome: &str, ident: bool, within: bool) -> Json {
-        obj([
-            (
-                "tenants",
-                Json::Arr(vec![obj([
-                    ("name", Json::Str("t".into())),
-                    ("outcome", Json::Str(outcome.into())),
-                    ("cause", Json::Str("-".into())),
-                    ("bit_identical", Json::Bool(ident)),
-                ])]),
-            ),
-            ("reservation_within_budget", Json::Bool(within)),
-            ("buffering_within_budget", Json::Bool(within)),
-        ])
+    fn report() -> FleetBenchReport {
+        let tenant = |name: &str, outcome: &str, cause: &str| FleetBenchRow {
+            name: name.into(),
+            outcome: outcome.into(),
+            cause: cause.into(),
+            cycles: 0,
+            packets: 0,
+            codec: "raw".into(),
+            bytes_written: 0,
+            bit_identical: true,
+        };
+        FleetBenchReport {
+            rows: vec![
+                tenant("clean", "completed", "-"),
+                tenant("crash", "failed", "panicked"),
+            ],
+            wall_ms: 0.0,
+            sessions_per_sec: 0.0,
+            aggregate_cycles_per_sec: 0.0,
+            budget: 100,
+            peak_reserved: 100,
+            sum_peak_buffered: 10,
+            reservation_within_budget: true,
+            buffering_within_budget: true,
+        }
     }
 
     #[test]
-    fn baseline_gates_deterministic_fields() {
-        let base = doc("completed", true, true);
-        assert!(compare_to_baseline(&doc("completed", true, true), &base).is_ok());
-        assert!(compare_to_baseline(&doc("failed", true, true), &base).is_err());
-        assert!(compare_to_baseline(&doc("completed", false, true), &base).is_err());
-        assert!(compare_to_baseline(&doc("completed", true, false), &base).is_err());
+    fn failures_flag_broken_clean_tenants() {
+        // A faulted tenant failing is expected, not a failure.
+        assert!(failures(&report()).is_empty());
+        let mut r = report();
+        r.rows[0].outcome = "evicted".into();
+        assert_eq!(
+            failures(&r),
+            vec![r#"clean tenants did not complete: ["clean"]"#.to_string()]
+        );
+        let mut r = report();
+        r.rows[0].bit_identical = false;
+        assert_eq!(
+            failures(&r),
+            vec![r#"clean tenant traces diverged from solo runs: ["clean"]"#.to_string()]
+        );
+    }
+
+    #[test]
+    fn failures_flag_budget_overruns() {
+        let mut r = report();
+        r.reservation_within_budget = false;
+        assert_eq!(
+            failures(&r),
+            vec!["peak reservation 100 B exceeded the budget 100 B".to_string()]
+        );
+        let mut r = report();
+        r.buffering_within_budget = false;
+        assert_eq!(
+            failures(&r),
+            vec!["aggregate peak buffering 10 B exceeded the budget 100 B".to_string()]
+        );
     }
 
     #[test]

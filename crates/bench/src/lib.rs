@@ -11,13 +11,12 @@
 //!   overhead vs monitored width across interface combinations).
 //! * `cargo run --release -p vidi-bench --bin effectiveness` — §5.4
 //!   (divergences per application, and the interrupt patch).
-//! * `cargo run --release -p vidi-bench --bin bench_snap` — checkpoint
-//!   round-trip exactness, seek latency, and segmented-verify speedup
-//!   (`BENCH_snap.json`, gated against `scripts/bench_snap_baseline.json`).
-//! * `cargo run --release -p vidi-bench --bin bench_fleet` — eight-tenant
-//!   multi-session soak: throughput, fault isolation, clean-tenant
-//!   bit-identity, and admission-budget adherence (`BENCH_fleet.json`,
-//!   gated against `scripts/bench_fleet_baseline.json`).
+//! * `cargo run --release -p vidi-bench --bin bench_gate` — the CI bench
+//!   gate: runs the scheduler/codec suite ([`sim_bench`]), the
+//!   checkpoint/seek/verify suite ([`snap_bench`]) and the eight-tenant
+//!   fleet soak ([`fleet_bench`]), writes one `BENCH.json` (schema
+//!   `vidi-bench/1`) and checks it against `scripts/bench_baseline.json`
+//!   through the one comparator in [`gate`].
 //!
 //! Criterion micro-benchmarks live under `benches/`.
 
@@ -25,6 +24,7 @@
 
 pub mod debug;
 pub mod fleet_bench;
+pub mod gate;
 pub mod json;
 pub mod sim_bench;
 pub mod snap_bench;

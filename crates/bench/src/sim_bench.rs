@@ -1,4 +1,4 @@
-//! Scheduler perf measurement behind `BENCH_sim.json`.
+//! Scheduler and codec measurement: the `sim` suite of `BENCH.json`.
 //!
 //! For every catalog application this module runs the same recorded
 //! workload under both settle schedulers ([`vidi_hwsim::EvalMode::Full`],
@@ -8,17 +8,18 @@
 //! numbers. Baseline regressions are judged **only** on the deterministic
 //! counters — wall time depends on the host and is recorded as a
 //! trajectory — with one deliberate exception: the compiled scheduler
-//! exists *for* wall-clock throughput, so `bench_sim` additionally gates
-//! its cycles/sec speedup over the full-broadcast oracle.
+//! exists *for* wall-clock throughput, so the suite additionally gates its
+//! cycles/sec speedup over the full-broadcast oracle.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use vidi_apps::{build_app, run_app, AppId, RunOutcome, Scale};
-use vidi_core::{ReplayInput, VidiConfig};
+use vidi_apps::{build_app, run_app, AppId, BuiltApp, RunOutcome, Scale};
+use vidi_core::{ReplayInput, SessionCursor, Stop, StopReason, VidiConfig};
 use vidi_hwsim::EvalMode;
 use vidi_trace::{CodecId, SharedChunks, Trace};
 
+use crate::gate::{row_json, Gate, SuiteReport, SuiteSpec};
 use crate::json::{obj, Json};
 use crate::MAX_CYCLES;
 
@@ -111,16 +112,21 @@ fn record_stream(app: AppId, scale: Scale, seed: u64, codec: CodecId) -> (Vec<u8
         app.setup(scale, seed),
         VidiConfig::record().with_trace_codec(codec),
     );
-    let handles = built.cpu.clone();
-    built
-        .sim
+    let mut cursor = SessionCursor::new(&mut built);
+    let ev = cursor
         .run_until(
-            move |_| handles.iter().all(|h| h.borrow().finished),
-            MAX_CYCLES,
-            "all CPU threads to finish",
+            Stop::when(|b: &mut BuiltApp| b.cpu.iter().all(|h| h.borrow().finished))
+                .or_at_cycle(MAX_CYCLES)
+                .check_every(1),
         )
-        .expect("codec recording completes");
-    built.sim.run(4096).expect("flush margin");
+        .expect("codec recording runs");
+    assert_eq!(
+        ev.reason,
+        StopReason::PredicateTrue,
+        "{}: codec recording completes",
+        app.label()
+    );
+    cursor.flush().expect("flush margin");
     (
         built
             .shim
@@ -216,13 +222,13 @@ pub fn measure_catalog(scale: Scale, seed: u64) -> Vec<SimBenchRow> {
 }
 
 /// Number of rows whose eval reduction is at least 2x.
-pub fn rows_with_2x_reduction(rows: &[SimBenchRow]) -> usize {
+fn rows_with_2x_reduction(rows: &[SimBenchRow]) -> usize {
     rows.iter().filter(|r| r.eval_reduction >= 2.0).count()
 }
 
 /// Number of rows where the compiled scheduler reaches at least 5x the
 /// full-broadcast scheduler's cycles/sec.
-pub fn rows_with_5x_compiled_speedup(rows: &[SimBenchRow]) -> usize {
+fn rows_with_5x_compiled_speedup(rows: &[SimBenchRow]) -> usize {
     rows.iter().filter(|r| r.compiled_speedup >= 5.0).count()
 }
 
@@ -233,7 +239,7 @@ pub fn rows_with_5x_compiled_speedup(rows: &[SimBenchRow]) -> usize {
 /// silently fell back to per-edge broadcast).
 ///
 /// Returns the list of violations, empty when the gate passes.
-pub fn compiled_speedup_failures(rows: &[SimBenchRow]) -> Vec<String> {
+fn compiled_speedup_failures(rows: &[SimBenchRow]) -> Vec<String> {
     let mut failures = Vec::new();
     let with_5x = rows_with_5x_compiled_speedup(rows);
     if with_5x * 2 < rows.len() {
@@ -253,7 +259,7 @@ pub fn compiled_speedup_failures(rows: &[SimBenchRow]) -> Vec<String> {
 }
 
 /// Number of rows whose xor-dict compression ratio is at least 3x.
-pub fn rows_with_3x_compression(rows: &[SimBenchRow]) -> usize {
+fn rows_with_3x_compression(rows: &[SimBenchRow]) -> usize {
     rows.iter().filter(|r| r.compression_ratio >= 3.0).count()
 }
 
@@ -264,7 +270,7 @@ pub fn rows_with_3x_compression(rows: &[SimBenchRow]) -> usize {
 /// bytes, or the ratio gate is vacuous.
 ///
 /// Returns the list of violations, empty when the gate passes.
-pub fn compression_failures(rows: &[SimBenchRow]) -> Vec<String> {
+fn compression_failures(rows: &[SimBenchRow]) -> Vec<String> {
     let mut failures: Vec<String> = rows
         .iter()
         .filter(|r| !r.codec_roundtrip_ok)
@@ -294,7 +300,7 @@ pub fn compression_failures(rows: &[SimBenchRow]) -> Vec<String> {
 /// must flush chunks, or the "bounded" witness is vacuous.
 ///
 /// Returns the list of violations, empty when the gate passes.
-pub fn buffer_bound_failures(rows: &[SimBenchRow], bound: u64) -> Vec<String> {
+fn buffer_bound_failures(rows: &[SimBenchRow], bound: u64) -> Vec<String> {
     let mut failures: Vec<String> = rows
         .iter()
         .filter(|r| r.peak_buffered_bytes > bound)
@@ -315,170 +321,125 @@ pub fn buffer_bound_failures(rows: &[SimBenchRow], bound: u64) -> Vec<String> {
     failures
 }
 
-/// Serializes rows into the `BENCH_sim.json` document.
-pub fn to_json(rows: &[SimBenchRow], scale: Scale) -> Json {
-    let apps = rows
-        .iter()
-        .map(|r| {
-            obj([
-                ("app", Json::Str(r.app.clone())),
-                ("cycles", Json::Num(r.cycles as f64)),
-                ("wall_ms_full", Json::Num(r.wall_ms_full)),
-                ("wall_ms_compiled", Json::Num(r.wall_ms_compiled)),
-                ("replay_wall_ms", Json::Num(r.replay_wall_ms)),
-                ("cycles_per_sec_full", Json::Num(r.cycles_per_sec_full)),
-                (
-                    "cycles_per_sec_compiled",
-                    Json::Num(r.cycles_per_sec_compiled),
-                ),
-                ("compiled_speedup", Json::Num(r.compiled_speedup)),
-                ("evals_per_cycle_full", Json::Num(r.evals_per_cycle_full)),
-                (
-                    "evals_per_cycle_compiled",
-                    Json::Num(r.evals_per_cycle_compiled),
-                ),
-                ("eval_reduction", Json::Num(r.eval_reduction)),
-                ("deopts", Json::Num(r.deopts as f64)),
-                ("recompiles", Json::Num(r.recompiles as f64)),
-                ("tick_skips", Json::Num(r.tick_skips as f64)),
-                ("traces_identical", Json::Bool(r.traces_identical)),
-                (
-                    "peak_buffered_bytes",
-                    Json::Num(r.peak_buffered_bytes as f64),
-                ),
-                ("chunks_flushed", Json::Num(r.chunks_flushed as f64)),
-                ("bytes_written", Json::Num(r.bytes_written as f64)),
-                ("bytes_per_cycle", Json::Num(r.bytes_per_cycle)),
-                ("compression_ratio", Json::Num(r.compression_ratio)),
-                ("codec_roundtrip_ok", Json::Bool(r.codec_roundtrip_ok)),
-            ])
-        })
-        .collect();
-    obj([
-        ("schema", Json::Str("vidi-bench-sim/4".into())),
+/// The sim suite's baseline gates: compiled evals/cycle may not grow, nor
+/// the xor-dict compression ratio shrink, by more than 10 % per app.
+pub const SUITE: SuiteSpec = SuiteSpec {
+    name: "sim",
+    key: "app",
+    rows: &[
         (
-            "scale",
-            Json::Str(
-                match scale {
-                    Scale::Test => "test",
-                    Scale::Bench => "bench",
-                }
-                .into(),
+            "evals_per_cycle_compiled",
+            Gate::Within {
+                tolerance: 0.10,
+                lower_is_better: true,
+            },
+        ),
+        (
+            "compression_ratio",
+            Gate::Within {
+                tolerance: 0.10,
+                lower_is_better: false,
+            },
+        ),
+    ],
+    summary: &[],
+};
+
+/// Measures the catalog and judges it against the absolute gates: the
+/// `sim` suite of `bench_gate`.
+pub fn suite(scale: Scale, seed: u64) -> SuiteReport {
+    let rows = measure_catalog(scale, seed);
+    let bound = VidiConfig::record().streaming_buffer_bound();
+    let peak = rows.iter().map(|r| r.peak_buffered_bytes).max();
+    SuiteReport {
+        spec: &SUITE,
+        summary: obj([
+            (
+                "apps_with_2x_reduction",
+                Json::Num(rows_with_2x_reduction(&rows) as f64),
             ),
-        ),
-        ("apps", Json::Arr(apps)),
-        (
-            "summary",
-            obj([
-                (
-                    "apps_with_2x_reduction",
-                    Json::Num(rows_with_2x_reduction(rows) as f64),
-                ),
-                (
-                    "apps_with_5x_compiled_speedup",
-                    Json::Num(rows_with_5x_compiled_speedup(rows) as f64),
-                ),
-                (
-                    "apps_with_3x_compression",
-                    Json::Num(rows_with_3x_compression(rows) as f64),
-                ),
-                ("total_apps", Json::Num(rows.len() as f64)),
-            ]),
-        ),
-    ])
+            (
+                "apps_with_5x_compiled_speedup",
+                Json::Num(rows_with_5x_compiled_speedup(&rows) as f64),
+            ),
+            (
+                "apps_with_3x_compression",
+                Json::Num(rows_with_3x_compression(&rows) as f64),
+            ),
+            ("total_apps", Json::Num(rows.len() as f64)),
+            (
+                "max_peak_buffered_bytes",
+                Json::Num(peak.unwrap_or(0) as f64),
+            ),
+            ("streaming_buffer_bound", Json::Num(bound as f64)),
+        ]),
+        failures: failures(&rows, bound),
+        rows: rows
+            .iter()
+            .map(|r| {
+                row_json!(
+                    r,
+                    [
+                        app,
+                        cycles,
+                        wall_ms_full,
+                        wall_ms_compiled,
+                        replay_wall_ms,
+                        cycles_per_sec_full,
+                        cycles_per_sec_compiled,
+                        compiled_speedup,
+                        evals_per_cycle_full,
+                        evals_per_cycle_compiled,
+                        eval_reduction,
+                        deopts,
+                        recompiles,
+                        tick_skips,
+                        traces_identical,
+                        peak_buffered_bytes,
+                        chunks_flushed,
+                        bytes_written,
+                        bytes_per_cycle,
+                        compression_ratio,
+                        codec_roundtrip_ok,
+                    ]
+                )
+            })
+            .collect(),
+    }
 }
 
-/// Compares a current `BENCH_sim.json` document against a committed
-/// baseline on the **deterministic** counters (`evals_per_cycle_compiled`
-/// and `compression_ratio`, per app, whichever the baseline carries).
-/// Wall-clock fields are never gated here.
+/// Every absolute gate over a measured catalog: both schedulers record
+/// identical traces, at least half the apps reach a 2x eval reduction,
+/// plus the compiled-speedup, compression and bounded-memory gates (the
+/// last against `buffer_bound`).
 ///
-/// # Errors
-///
-/// Returns the list of regressions: apps missing from the current document,
-/// whose evals/cycle grew by more than `tolerance` (e.g. `0.10`), or whose
-/// compression ratio shrank by more than `tolerance`.
-pub fn compare_to_baseline(
-    current: &Json,
-    baseline: &Json,
-    tolerance: f64,
-) -> Result<(), Vec<String>> {
-    /// `(metric, lower_is_better)` — a shrinking ratio is a regression just
-    /// like growing evals/cycle.
-    const GATED: [(&str, bool); 2] = [
-        ("evals_per_cycle_compiled", true),
-        ("compression_ratio", false),
-    ];
+/// Returns the list of violations, empty when every gate passes.
+pub fn failures(rows: &[SimBenchRow], buffer_bound: u64) -> Vec<String> {
     let mut failures = Vec::new();
-    let rows = |doc: &Json| -> Vec<(String, Vec<(String, f64)>)> {
-        doc.get("apps")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|r| {
-                let app = r.get("app")?.as_str()?.to_string();
-                let metrics = GATED
-                    .iter()
-                    .filter_map(|&(m, _)| Some((m.to_string(), r.get(m)?.as_f64()?)))
-                    .collect();
-                Some((app, metrics))
-            })
-            .collect()
-    };
-    let cur = rows(current);
-    for (app, base_metrics) in rows(baseline) {
-        let Some((_, cur_metrics)) = cur.iter().find(|(a, _)| *a == app) else {
-            failures.push(format!("{app}: present in baseline but not measured"));
-            continue;
-        };
-        for (metric, base_val) in base_metrics {
-            let Some((_, cur_val)) = cur_metrics.iter().find(|(m, _)| *m == metric) else {
-                failures.push(format!("{app}: baseline metric {metric} not measured"));
-                continue;
-            };
-            let lower_is_better = GATED
-                .iter()
-                .find(|(m, _)| *m == metric)
-                .is_some_and(|(_, l)| *l);
-            let regressed = if lower_is_better {
-                let limit = base_val * (1.0 + tolerance);
-                *cur_val > limit
-            } else {
-                let limit = base_val * (1.0 - tolerance);
-                *cur_val < limit
-            };
-            if regressed {
-                failures.push(format!(
-                    "{app}: {metric} regressed {base_val:.2} -> {cur_val:.2} \
-                     (tolerance {tolerance:.0}%)",
-                    tolerance = tolerance * 100.0
-                ));
-            }
-        }
+    let divergent: Vec<&str> = rows
+        .iter()
+        .filter(|r| !r.traces_identical)
+        .map(|r| r.app.as_str())
+        .collect();
+    if !divergent.is_empty() {
+        failures.push(format!("traces diverge between schedulers: {divergent:?}"));
     }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures)
+    let with_2x = rows_with_2x_reduction(rows);
+    if with_2x * 2 < rows.len() {
+        failures.push(format!(
+            "only {with_2x}/{} apps reach a 2x eval reduction",
+            rows.len()
+        ));
     }
+    failures.extend(compiled_speedup_failures(rows));
+    failures.extend(compression_failures(rows));
+    failures.extend(buffer_bound_failures(rows, buffer_bound));
+    failures
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn doc(apps: &[(&str, f64)]) -> Json {
-        let rows = apps
-            .iter()
-            .map(|(a, e)| {
-                obj([
-                    ("app", Json::Str((*a).into())),
-                    ("evals_per_cycle_compiled", Json::Num(*e)),
-                ])
-            })
-            .collect();
-        obj([("apps", Json::Arr(rows))])
-    }
 
     fn row(app: &str) -> SimBenchRow {
         SimBenchRow {
@@ -507,6 +468,31 @@ mod tests {
     }
 
     #[test]
+    fn failures_flag_divergent_traces_and_weak_eval_reduction() {
+        // Rows that pass every other gate.
+        let mk = |app: &str, reduction: f64, identical: bool| {
+            let mut r = row(app);
+            r.eval_reduction = reduction;
+            r.traces_identical = identical;
+            r.compiled_speedup = 6.0;
+            r.tick_skips = 1;
+            r.compression_ratio = 4.0;
+            r.bytes_written = 100;
+            r.chunks_flushed = 1;
+            r
+        };
+        assert!(failures(&[mk("a", 2.0, true), mk("b", 1.0, true)], 1000).is_empty());
+        assert_eq!(
+            failures(&[mk("a", 2.0, false), mk("b", 1.0, true)], 1000),
+            vec![r#"traces diverge between schedulers: ["a"]"#.to_string()]
+        );
+        assert_eq!(
+            failures(&[mk("a", 1.9, true), mk("b", 1.0, true)], 1000),
+            vec!["only 0/2 apps reach a 2x eval reduction".to_string()]
+        );
+    }
+
+    #[test]
     fn compression_gate_flags_weak_broken_and_vacuous_runs() {
         let mk = |app: &str, ratio: f64, bytes: u64, ok: bool| {
             let mut r = row(app);
@@ -531,28 +517,6 @@ mod tests {
         let fails = compression_failures(&[mk("a", 5.0, 0, true), mk("b", 4.0, 0, true)]);
         assert_eq!(fails.len(), 1);
         assert!(fails[0].contains("never exercised the codec path"));
-    }
-
-    #[test]
-    fn baseline_comparison_gates_compression_ratio_downward() {
-        let mk_doc = |ratio: f64| {
-            obj([(
-                "apps",
-                Json::Arr(vec![obj([
-                    ("app", Json::Str("a".into())),
-                    ("evals_per_cycle_compiled", Json::Num(10.0)),
-                    ("compression_ratio", Json::Num(ratio)),
-                ])]),
-            )])
-        };
-        let base = mk_doc(4.0);
-        // Holding or improving the ratio: ok.
-        assert_eq!(compare_to_baseline(&mk_doc(4.0), &base, 0.10), Ok(()));
-        assert_eq!(compare_to_baseline(&mk_doc(5.0), &base, 0.10), Ok(()));
-        // Shrinking beyond tolerance: flagged by name.
-        let err = compare_to_baseline(&mk_doc(3.0), &base, 0.10).unwrap_err();
-        assert_eq!(err.len(), 1);
-        assert!(err[0].contains("a: compression_ratio regressed"));
     }
 
     #[test]
@@ -588,50 +552,5 @@ mod tests {
         let fails = compiled_speedup_failures(&[mk("a", 8.5, 0), mk("b", 8.5, 0)]);
         assert_eq!(fails.len(), 1);
         assert!(fails[0].contains("never exercised compiled tick scheduling"));
-    }
-
-    #[test]
-    fn baseline_comparison_flags_regressions_only() {
-        let base = doc(&[("a", 10.0), ("b", 5.0)]);
-        // Within tolerance and improved: ok.
-        assert_eq!(
-            compare_to_baseline(&doc(&[("a", 10.9), ("b", 3.0)]), &base, 0.10),
-            Ok(())
-        );
-        // One regression, one missing app: both reported.
-        let err = compare_to_baseline(&doc(&[("a", 11.2)]), &base, 0.10).unwrap_err();
-        assert_eq!(err.len(), 2);
-        assert!(err[0].contains("a: evals_per_cycle_compiled regressed"));
-        assert!(err[1].contains("b: present in baseline"));
-    }
-
-    #[test]
-    fn baseline_comparison_gates_only_metrics_the_baseline_carries() {
-        let mk_doc = |comp: f64, ratio: Option<f64>| {
-            let mut fields = vec![
-                ("app", Json::Str("a".into())),
-                ("evals_per_cycle_compiled", Json::Num(comp)),
-            ];
-            if let Some(r) = ratio {
-                fields.push(("compression_ratio", Json::Num(r)));
-            }
-            let row = Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            );
-            obj([("apps", Json::Arr(vec![row]))])
-        };
-        // Baseline expects the ratio; its absence is a failure.
-        let base = mk_doc(4.0, Some(3.0));
-        let err = compare_to_baseline(&mk_doc(4.0, None), &base, 0.10).unwrap_err();
-        assert!(err[0].contains("compression_ratio not measured"));
-        // A baseline without the ratio never demands it.
-        let old_base = mk_doc(4.0, None);
-        assert_eq!(
-            compare_to_baseline(&mk_doc(4.0, None), &old_base, 0.10),
-            Ok(())
-        );
     }
 }

@@ -1,4 +1,5 @@
-//! Checkpoint/seek/verify perf measurement behind `BENCH_snap.json`.
+//! Checkpoint, seek and verify measurement: the `snap` suite of
+//! `BENCH.json`.
 //!
 //! For every catalog application this module records a reference trace,
 //! replays it under a checkpoint policy ([`vidi_snap::checkpointed_replay`]),
@@ -24,13 +25,14 @@
 use std::time::Instant;
 
 use vidi_apps::{build_app, run_app, AppId, Scale};
-use vidi_core::VidiConfig;
+use vidi_core::{SessionCursor, VidiConfig};
 use vidi_hwsim::EvalMode;
 use vidi_snap::{
     checkpointed_replay, replay_from, CheckpointLog, CheckpointPolicy, ParallelVerifier,
     VerifyOptions, VerifyVerdict,
 };
 
+use crate::gate::{row_json, Gate, SuiteReport, SuiteSpec};
 use crate::json::{obj, Json};
 use crate::MAX_CYCLES;
 
@@ -234,12 +236,9 @@ pub fn measure_app(app: AppId, scale: Scale, seed: u64, threads: usize) -> SnapB
     let target = total / 2;
     let mut cold = build_app(app.setup(scale, seed), replay_cfg.clone());
     let start = Instant::now();
-    let mut left = target;
-    while left > 0 {
-        let step = left.min(256);
-        cold.sim.run(step).expect("cold seek");
-        left -= step;
-    }
+    SessionCursor::new(&mut cold)
+        .step(target)
+        .expect("cold seek");
     let seek_cold_ms = start.elapsed().as_secs_f64() * 1e3;
 
     let mut warm = build_app(app.setup(scale, seed), replay_cfg.clone());
@@ -308,235 +307,180 @@ pub fn measure_catalog(scale: Scale, seed: u64, threads: usize) -> Vec<SnapBench
         .collect()
 }
 
-/// Number of rows whose parallel-verify speedup is at least 2x.
-pub fn rows_with_2x_verify_speedup(rows: &[SnapBenchRow]) -> usize {
-    rows.iter().filter(|r| r.verify_speedup >= 2.0).count()
-}
+/// The snap suite's baseline gates: per app, round-trip exactness, the
+/// verification verdict (clean or not, at the same cycle) and the
+/// worst-case reverse-step roll-forward must equal the pinned values.
+pub const SUITE: SuiteSpec = SuiteSpec {
+    name: "snap",
+    key: "app",
+    rows: &[
+        ("roundtrip_exact", Gate::Exact),
+        ("verdict", Gate::Exact),
+        ("rstep_worst_roll_forward", Gate::Exact),
+    ],
+    summary: &[],
+};
 
-/// Serializes rows into the `BENCH_snap.json` document.
-pub fn to_json(rows: &[SnapBenchRow], scale: Scale, threads: usize) -> Json {
-    let apps = rows
-        .iter()
-        .map(|r| {
-            obj([
-                ("app", Json::Str(r.app.clone())),
-                ("cycles", Json::Num(r.cycles as f64)),
-                ("checkpoints", Json::Num(r.checkpoints as f64)),
-                ("container_bytes", Json::Num(r.container_bytes as f64)),
-                ("roundtrip_exact", Json::Bool(r.roundtrip_exact)),
-                ("seek_cold_ms", Json::Num(r.seek_cold_ms)),
-                ("seek_warm_ms", Json::Num(r.seek_warm_ms)),
-                ("seek_speedup", Json::Num(r.seek_speedup)),
-                ("verify_serial_ms", Json::Num(r.verify_serial_ms)),
-                ("verify_parallel_ms", Json::Num(r.verify_parallel_ms)),
-                ("verify_speedup", Json::Num(r.verify_speedup)),
-                ("verify_consistent", Json::Bool(r.verify_consistent)),
-                (
-                    "rstep_worst_roll_forward",
-                    Json::Num(r.rstep_worst_roll_forward as f64),
-                ),
-                ("rstep_worst_ms", Json::Num(r.rstep_worst_ms)),
-                ("verdict", Json::Str(r.verdict.clone())),
-                (
-                    "peak_buffered_bytes",
-                    Json::Num(r.peak_buffered_bytes as f64),
-                ),
-                ("chunks_flushed", Json::Num(r.chunks_flushed as f64)),
-            ])
-        })
-        .collect();
-    obj([
-        ("schema", Json::Str("vidi-bench-snap/1".into())),
-        (
-            "scale",
-            Json::Str(
-                match scale {
-                    Scale::Test => "test",
-                    Scale::Bench => "bench",
-                }
-                .into(),
+/// Measures the catalog on `threads` verify workers and judges it against
+/// the absolute gates: the `snap` suite of `bench_gate`.
+pub fn suite(scale: Scale, seed: u64, threads: usize) -> SuiteReport {
+    let rows = measure_catalog(scale, seed, threads);
+    let count =
+        |pred: fn(&SnapBenchRow) -> bool| Json::Num(rows.iter().filter(|r| pred(r)).count() as f64);
+    SuiteReport {
+        spec: &SUITE,
+        summary: obj([
+            ("apps_roundtrip_exact", count(|r| r.roundtrip_exact)),
+            ("apps_verify_consistent", count(|r| r.verify_consistent)),
+            (
+                "apps_with_2x_verify_speedup",
+                count(|r| r.verify_speedup >= 2.0),
             ),
-        ),
-        ("threads", Json::Num(threads as f64)),
-        ("apps", Json::Arr(apps)),
-        (
-            "summary",
-            obj([
-                (
-                    "apps_roundtrip_exact",
-                    Json::Num(rows.iter().filter(|r| r.roundtrip_exact).count() as f64),
-                ),
-                (
-                    "apps_verify_consistent",
-                    Json::Num(rows.iter().filter(|r| r.verify_consistent).count() as f64),
-                ),
-                (
-                    "apps_with_2x_verify_speedup",
-                    Json::Num(rows_with_2x_verify_speedup(rows) as f64),
-                ),
-                ("total_apps", Json::Num(rows.len() as f64)),
-            ]),
-        ),
-    ])
+            ("total_apps", Json::Num(rows.len() as f64)),
+        ]),
+        failures: failures(&rows),
+        rows: rows
+            .iter()
+            .map(|r| {
+                row_json!(
+                    r,
+                    [
+                        app,
+                        cycles,
+                        checkpoints,
+                        container_bytes,
+                        roundtrip_exact,
+                        seek_cold_ms,
+                        seek_warm_ms,
+                        seek_speedup,
+                        verify_serial_ms,
+                        verify_parallel_ms,
+                        verify_speedup,
+                        verify_consistent,
+                        rstep_worst_roll_forward,
+                        rstep_worst_ms,
+                        verdict,
+                        peak_buffered_bytes,
+                        chunks_flushed,
+                    ]
+                )
+            })
+            .collect(),
+    }
 }
 
-/// Compares a current `BENCH_snap.json` document against a committed
-/// baseline on the **deterministic** fields only: every app present in the
-/// baseline must still be measured, its `roundtrip_exact` boolean must not
-/// regress, its verification verdict — clean or not — must be the *same
-/// verdict at the same cycle* the baseline pinned, and its worst-case
-/// reverse-step roll-forward must not drift from the cadence the baseline
-/// recorded. Wall-clock and speedup values are never gated per app — the
-/// speedup floor is enforced on the current run's summary by the binary
-/// itself.
+/// Every absolute gate over a measured catalog: each app's checkpoints
+/// round-trip exactly and its serial and parallel verification reports
+/// agree, at least half the apps reach a 2x modeled verify speedup, and the
+/// reverse-step ceiling is not vacuous — a zero worst-case roll-forward on
+/// every app would mean a checkpoint on every cycle, which no real cadence
+/// produces, so the baseline pin on it would gate nothing.
 ///
-/// The reverse-step gate also self-checks for vacuousness: if every
-/// current row reports a worst-case roll-forward of zero, the gate is
-/// gating nothing (a zero ceiling means checkpoints at every cycle, which
-/// no real cadence produces) and the comparison fails rather than
-/// silently passing forever.
-///
-/// # Errors
-///
-/// Returns the list of regressions: apps missing from the current
-/// document, exactness flips, verdict drift, reverse-step drift, or a
-/// vacuous reverse-step gate.
-pub fn compare_to_baseline(current: &Json, baseline: &Json) -> Result<(), Vec<String>> {
+/// Returns the list of violations, empty when every gate passes.
+pub fn failures(rows: &[SnapBenchRow]) -> Vec<String> {
     let mut failures = Vec::new();
-    let rows = |doc: &Json| -> Vec<(String, bool, String, Option<u64>)> {
-        doc.get("apps")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|r| {
-                Some((
-                    r.get("app")?.as_str()?.to_string(),
-                    r.get("roundtrip_exact")?.as_bool()?,
-                    r.get("verdict")?.as_str()?.to_string(),
-                    r.get("rstep_worst_roll_forward")
-                        .and_then(Json::as_f64)
-                        .map(|n| n as u64),
-                ))
-            })
+    let apps = |pred: fn(&SnapBenchRow) -> bool| -> Vec<&str> {
+        rows.iter()
+            .filter(|r| pred(r))
+            .map(|r| r.app.as_str())
             .collect()
     };
-    let cur = rows(current);
-    for (app, base_exact, base_verdict, base_rstep) in rows(baseline) {
-        match cur.iter().find(|(a, _, _, _)| *a == app) {
-            None => failures.push(format!("{app}: present in baseline but not measured")),
-            Some((_, cur_exact, cur_verdict, cur_rstep)) => {
-                if base_exact && !cur_exact {
-                    failures.push(format!("{app}: checkpoint round trip no longer exact"));
-                }
-                if *cur_verdict != base_verdict {
-                    failures.push(format!(
-                        "{app}: verdict drifted {base_verdict:?} -> {cur_verdict:?}"
-                    ));
-                }
-                // Old baselines predate the field; gate only when pinned.
-                if let (Some(base), Some(cur)) = (base_rstep, cur_rstep) {
-                    if *cur != base {
-                        failures.push(format!(
-                            "{app}: worst-case reverse-step roll-forward drifted {base} -> {cur}"
-                        ));
-                    }
-                }
-            }
-        }
+    let inexact = apps(|r| !r.roundtrip_exact);
+    if !inexact.is_empty() {
+        failures.push(format!(
+            "checkpoints do not round-trip exactly: {inexact:?}"
+        ));
     }
-    // Vacuous-gate detection: a reverse-step gate where every measured
-    // ceiling is zero pins nothing.
-    let rstep_values: Vec<u64> = cur.iter().filter_map(|(_, _, _, r)| *r).collect();
-    if !rstep_values.is_empty() && rstep_values.iter().all(|&v| v == 0) {
+    let inconsistent = apps(|r| !r.verify_consistent);
+    if !inconsistent.is_empty() {
+        failures.push(format!(
+            "serial and parallel verification reports differ: {inconsistent:?}"
+        ));
+    }
+    let with_2x = apps(|r| r.verify_speedup >= 2.0).len();
+    if with_2x * 2 < rows.len() {
+        failures.push(format!(
+            "only {with_2x}/{} apps reach a 2x parallel-verify speedup",
+            rows.len()
+        ));
+    }
+    if !rows.is_empty() && rows.iter().all(|r| r.rstep_worst_roll_forward == 0) {
         failures.push(
             "reverse-step gate is vacuous: every app reports a zero worst-case roll-forward".into(),
         );
     }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures)
-    }
+    failures
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn doc(apps: &[(&str, bool, &str)]) -> Json {
-        let rows = apps
-            .iter()
-            .map(|(a, exact, verdict)| {
-                obj([
-                    ("app", Json::Str((*a).into())),
-                    ("roundtrip_exact", Json::Bool(*exact)),
-                    ("verdict", Json::Str((*verdict).into())),
-                ])
-            })
-            .collect();
-        obj([("apps", Json::Arr(rows))])
-    }
-
-    fn doc_with_rstep(apps: &[(&str, bool, &str, u64)]) -> Json {
-        let rows = apps
-            .iter()
-            .map(|(a, exact, verdict, rstep)| {
-                obj([
-                    ("app", Json::Str((*a).into())),
-                    ("roundtrip_exact", Json::Bool(*exact)),
-                    ("verdict", Json::Str((*verdict).into())),
-                    ("rstep_worst_roll_forward", Json::Num(*rstep as f64)),
-                ])
-            })
-            .collect();
-        obj([("apps", Json::Arr(rows))])
+    fn row(app: &str) -> SnapBenchRow {
+        SnapBenchRow {
+            app: app.into(),
+            cycles: 0,
+            checkpoints: 0,
+            container_bytes: 0,
+            roundtrip_exact: true,
+            seek_cold_ms: 0.0,
+            seek_warm_ms: 0.0,
+            seek_speedup: 0.0,
+            verify_serial_ms: 0.0,
+            verify_parallel_ms: 0.0,
+            verify_speedup: 2.0,
+            verify_consistent: true,
+            rstep_worst_roll_forward: 255,
+            rstep_worst_ms: 0.0,
+            verdict: "clean".into(),
+            peak_buffered_bytes: 0,
+            chunks_flushed: 0,
+        }
     }
 
     #[test]
-    fn baseline_compare_flags_regressions() {
-        let base = doc(&[("a", true, "clean"), ("b", true, "diverged@100")]);
-        let good = doc(&[("a", true, "clean"), ("b", true, "diverged@100")]);
-        assert!(compare_to_baseline(&good, &base).is_ok());
-
-        let drifted = doc(&[("a", false, "clean"), ("b", true, "diverged@250")]);
-        let failures = compare_to_baseline(&drifted, &base).unwrap_err();
-        assert_eq!(failures.len(), 2);
-
-        let missing = doc(&[("a", true, "clean")]);
-        let failures = compare_to_baseline(&missing, &base).unwrap_err();
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains('b'));
-    }
-
-    #[test]
-    fn baseline_compare_gates_reverse_step_drift() {
-        let base = doc_with_rstep(&[("a", true, "clean", 255), ("b", true, "clean", 511)]);
-        let same = doc_with_rstep(&[("a", true, "clean", 255), ("b", true, "clean", 511)]);
-        assert!(compare_to_baseline(&same, &base).is_ok());
-
-        let drifted = doc_with_rstep(&[("a", true, "clean", 255), ("b", true, "clean", 1023)]);
-        let failures = compare_to_baseline(&drifted, &base).unwrap_err();
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("reverse-step"), "{failures:?}");
-
-        // A baseline predating the field gates nothing per app.
-        let old_base = doc(&[("a", true, "clean"), ("b", true, "clean")]);
-        assert!(compare_to_baseline(&same, &old_base).is_ok());
-    }
-
-    #[test]
-    fn baseline_compare_rejects_vacuous_reverse_step_gate() {
-        let base = doc_with_rstep(&[("a", true, "clean", 0), ("b", true, "clean", 0)]);
-        let cur = doc_with_rstep(&[("a", true, "clean", 0), ("b", true, "clean", 0)]);
-        let failures = compare_to_baseline(&cur, &base).unwrap_err();
-        assert!(
-            failures.iter().any(|f| f.contains("vacuous")),
-            "{failures:?}"
+    fn failures_flag_inexact_and_inconsistent_apps() {
+        assert!(failures(&[row("a"), row("b")]).is_empty());
+        let mut inexact = row("a");
+        inexact.roundtrip_exact = false;
+        assert_eq!(
+            failures(&[inexact, row("b")]),
+            vec![r#"checkpoints do not round-trip exactly: ["a"]"#.to_string()]
         );
+        let mut inconsistent = row("b");
+        inconsistent.verify_consistent = false;
+        assert_eq!(
+            failures(&[row("a"), inconsistent]),
+            vec![r#"serial and parallel verification reports differ: ["b"]"#.to_string()]
+        );
+    }
+
+    #[test]
+    fn failures_require_2x_verify_speedup_on_half_the_catalog() {
+        let mk = |app: &str, speedup: f64| {
+            let mut r = row(app);
+            r.verify_speedup = speedup;
+            r
+        };
+        assert!(failures(&[mk("a", 2.0), mk("b", 1.5)]).is_empty());
+        assert_eq!(
+            failures(&[mk("a", 1.99), mk("b", 1.5)]),
+            vec!["only 0/2 apps reach a 2x parallel-verify speedup".to_string()]
+        );
+    }
+
+    #[test]
+    fn failures_reject_a_vacuous_reverse_step_gate() {
+        let mk = |app: &str, rstep: u64| {
+            let mut r = row(app);
+            r.rstep_worst_roll_forward = rstep;
+            r
+        };
+        let fails = failures(&[mk("a", 0), mk("b", 0)]);
+        assert_eq!(fails.len(), 1);
+        assert!(fails[0].contains("vacuous"), "{fails:?}");
         // One non-zero ceiling is enough to make the gate meaningful.
-        let mixed = doc_with_rstep(&[("a", true, "clean", 0), ("b", true, "clean", 511)]);
-        let mixed_base = doc_with_rstep(&[("a", true, "clean", 0), ("b", true, "clean", 511)]);
-        assert!(compare_to_baseline(&mixed, &mixed_base).is_ok());
+        assert!(failures(&[mk("a", 0), mk("b", 511)]).is_empty());
     }
 
     #[test]

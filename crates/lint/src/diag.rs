@@ -1,5 +1,5 @@
 //! The shared diagnostics engine: severities, structured certificates, and
-//! hand-rolled JSON rendering (this repository vendors no serde).
+//! their JSON rendering (through [`vidi_bench::json`]).
 //!
 //! Every analyzer — the static design lint and the offline trace analyzer —
 //! reports through [`Diagnostic`]. A diagnostic is machine-checkable: besides
@@ -9,6 +9,8 @@
 //! invariant).
 
 use std::fmt;
+
+use vidi_bench::json::{obj, Json};
 
 /// How serious a diagnostic is.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -151,86 +153,76 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Certificate {
-    fn to_json(&self) -> String {
+    fn json(&self) -> Json {
+        let kind = |k: &str| Json::Str(k.into());
         match self {
-            Certificate::None => "null".to_string(),
-            Certificate::SignalCycle(steps) => {
-                let items: Vec<String> = steps
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "{{\"signal\":\"{}\",\"component\":\"{}\"}}",
-                            json_escape(&s.signal),
-                            json_escape(&s.component)
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"kind\":\"signal_cycle\",\"steps\":[{}]}}",
-                    items.join(",")
-                )
-            }
-            Certificate::HbCycle(steps) => {
-                let items: Vec<String> = steps
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "{{\"channel\":\"{}\",\"end_index\":{},\"edge\":\"{}\"}}",
-                            json_escape(&s.channel),
-                            s.end_index,
-                            s.edge.as_str()
-                        )
-                    })
-                    .collect();
-                format!("{{\"kind\":\"hb_cycle\",\"steps\":[{}]}}", items.join(","))
-            }
-            Certificate::Facts(kv) => {
-                let items: Vec<String> = kv
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
-                    .collect();
-                format!("{{\"kind\":\"facts\",\"facts\":{{{}}}}}", items.join(","))
-            }
+            Certificate::None => Json::Null,
+            Certificate::SignalCycle(steps) => obj([
+                ("kind", kind("signal_cycle")),
+                (
+                    "steps",
+                    Json::Arr(
+                        steps
+                            .iter()
+                            .map(|s| {
+                                obj([
+                                    ("signal", Json::Str(s.signal.clone())),
+                                    ("component", Json::Str(s.component.clone())),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]),
+            Certificate::HbCycle(steps) => obj([
+                ("kind", kind("hb_cycle")),
+                (
+                    "steps",
+                    Json::Arr(
+                        steps
+                            .iter()
+                            .map(|s| {
+                                obj([
+                                    ("channel", Json::Str(s.channel.clone())),
+                                    ("end_index", Json::Num(s.end_index as f64)),
+                                    ("edge", kind(s.edge.as_str())),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]),
+            Certificate::Facts(kv) => obj([
+                ("kind", kind("facts")),
+                (
+                    "facts",
+                    Json::Obj(
+                        kv.iter()
+                            .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+                            .collect(),
+                    ),
+                ),
+            ]),
         }
     }
 }
 
 impl Diagnostic {
-    /// Renders this diagnostic as a JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"location\":\"{}\",\"message\":\"{}\",\"certificate\":{}}}",
-            json_escape(self.rule),
-            self.severity.as_str(),
-            json_escape(&self.location),
-            json_escape(&self.message),
-            self.certificate.to_json()
-        )
+    fn json(&self) -> Json {
+        obj([
+            ("rule", Json::Str(self.rule.into())),
+            ("severity", Json::Str(self.severity.as_str().into())),
+            ("location", Json::Str(self.location.clone())),
+            ("message", Json::Str(self.message.clone())),
+            ("certificate", self.certificate.json()),
+        ])
     }
 }
 
 /// Renders a slice of diagnostics as a JSON array.
 pub fn diagnostics_to_json(diags: &[Diagnostic]) -> String {
-    let items: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
-    format!("[{}]", items.join(","))
+    Json::Arr(diags.iter().map(Diagnostic::json).collect()).pretty()
 }
 
 /// One entry of the rule catalog.
@@ -323,16 +315,22 @@ mod tests {
                 component: "c".into(),
             }]),
         };
-        let j = d.to_json();
-        assert!(j.contains("\\\"sig\\\""));
-        assert!(j.contains("line1\\nline2"));
-        assert!(j.contains("\"kind\":\"signal_cycle\""));
+        let parsed = Json::parse(&diagnostics_to_json(&[d.clone(), d])).expect("well-formed");
+        let items = parsed.as_arr().expect("an array");
+        assert_eq!(items.len(), 2);
+        let field = |k: &str| items[0].get(k).and_then(Json::as_str);
+        assert_eq!(field("rule"), Some("VL001"));
+        assert_eq!(field("severity"), Some("error"));
+        assert_eq!(field("location"), Some("app/\"sig\""));
+        assert_eq!(field("message"), Some("line1\nline2"));
+        let cert = items[0].get("certificate").expect("certificate");
         assert_eq!(
-            diagnostics_to_json(&[d.clone(), d])
-                .matches("VL001")
-                .count(),
-            2
+            cert.get("kind").and_then(Json::as_str),
+            Some("signal_cycle")
         );
+        let step = &cert.get("steps").and_then(Json::as_arr).expect("steps")[0];
+        assert_eq!(step.get("signal").and_then(Json::as_str), Some("a"));
+        assert_eq!(step.get("component").and_then(Json::as_str), Some("c"));
     }
 
     #[test]

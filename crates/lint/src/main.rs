@@ -97,7 +97,7 @@ fn report(diags: Vec<Diagnostic>, opts: &Options) -> (usize, usize) {
         .into_iter()
         .partition(|d| !opts.config.is_allowed(d.rule, &d.location));
     if opts.json {
-        println!("{}", diagnostics_to_json(&active));
+        print!("{}", diagnostics_to_json(&active));
     } else {
         for d in &active {
             println!("{d}");

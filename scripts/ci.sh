@@ -88,18 +88,6 @@ grep -q "causal transaction: pcim.w end #0" "$convert_dir/atop.out" \
 echo "── vidi-lint: static design lint + trace-analysis gate ─────────"
 cargo run --release -q -p vidi-lint -- ci --config scripts/vidi-lint.allow
 
-echo "── bench smoke: scheduler equivalence + evals/cycle gate ───────"
-# Emits BENCH_sim.json and fails on trace divergence between the two
-# schedulers (full / compiled), <2x eval reduction (full / compiled
-# evals/cycle) on half the catalog, <5x compiled wall-clock speedup over
-# full on half the catalog (with all-zero tick_skips treated as a
-# vacuous-gate failure), any xor-dict round-trip mismatch, <3x xor-dict
-# compression on half the catalog (all-raw ratios are a vacuous-gate
-# failure), or a compiled evals/cycle or compression-ratio regression
-# against the committed baseline.
-cargo run --release -q -p vidi-bench --bin bench_sim -- \
-    --out BENCH_sim.json --baseline scripts/bench_sim_baseline.json
-
 echo "── fleet soak: multi-tenant isolation + admission gate ─────────"
 # Eight tenants (four clean, four under distinct fault schedules including
 # an injected panic) share one supervisor, credit arbiter, and memory
@@ -108,21 +96,30 @@ echo "── fleet soak: multi-tenant isolation + admission gate ─────
 # over-commit.
 cargo test -q --release -p vidi-fleet
 
-echo "── fleet bench: throughput + isolation trajectory ──────────────"
-# Emits BENCH_fleet.json (sessions/sec, aggregate cycles/sec, peak global
-# buffered bytes vs budget) and fails on any outcome/cause drift,
-# bit-identity loss, or budget violation against the committed baseline.
-cargo run --release -q -p vidi-bench --bin bench_fleet -- \
-    --out BENCH_fleet.json --baseline scripts/bench_fleet_baseline.json
-
-echo "── snap smoke: checkpoint exactness + parallel-verify gate ─────"
-# Emits BENCH_snap.json and fails on any checkpoint round-trip inexactness,
-# serial/parallel report disagreement, verdict drift against the committed
-# baseline, <2x modeled verify speedup on half the catalog at 4 threads,
-# worst-case reverse-step roll-forward drift from the pinned cadence, or
-# an all-zero reverse-step column (vacuous gate).
-cargo run --release -q -p vidi-bench --bin bench_snap -- \
-    --out BENCH_snap.json --baseline scripts/bench_snap_baseline.json --threads 4
+echo "── bench gate: sim + snap + fleet suites against one baseline ──"
+# Emits BENCH.json (schema vidi-bench/1) and fails on any absolute gate:
+#   sim   — trace divergence between the two schedulers (full / compiled);
+#           <2x eval reduction (full / compiled evals/cycle) on half the
+#           catalog; <5x compiled wall-clock speedup over full on half the
+#           catalog (all-zero tick_skips is a vacuous-gate failure); any
+#           xor-dict round-trip mismatch; <3x xor-dict compression on half
+#           the catalog (all-zero bytes written is a vacuous-gate failure);
+#           a peak buffered size over the streaming bound (no flushed chunk
+#           anywhere is a vacuous-gate failure);
+#   snap  — any checkpoint round-trip inexactness; serial/parallel verify
+#           report disagreement; <2x modeled verify speedup on half the
+#           catalog at 4 threads; an all-zero reverse-step column (vacuous);
+#   fleet — a clean tenant that does not complete or whose trace is not
+#           bit-identical to its solo run; peak reservation or aggregate
+#           peak buffering over the admission budget;
+# and on any pinned field that drifts from scripts/bench_baseline.json:
+#   sim   — compiled evals/cycle up, or compression ratio down, >10 %;
+#   snap  — round-trip exactness, verdict, worst-case reverse-step
+#           roll-forward (exact);
+#   fleet — per-tenant outcome, cause and bit-identity, and both
+#           within-budget checks (exact).
+cargo run --release -q -p vidi-bench --bin bench_gate -- \
+    --out BENCH.json --baseline scripts/bench_baseline.json
 
 if [ "$mode" = "full" ]; then
     echo "── examples ────────────────────────────────────────────────"
