@@ -17,8 +17,9 @@
 //!   fleet soak ([`fleet_bench`]), writes one `BENCH.json` (schema
 //!   `vidi-bench/1`) and checks it against `scripts/bench_baseline.json`
 //!   through the one comparator in [`gate`].
-//!
-//! Criterion micro-benchmarks live under `benches/`.
+//! * `cargo run --release -p vidi-bench --bin ablation_sweep` — store
+//!   bandwidth and FIFO-depth ablations, and the §6 physical-timestamp
+//!   comparison.
 
 #![forbid(unsafe_code)]
 

@@ -95,8 +95,6 @@ pub enum CodecError {
     /// The encoded block is internally inconsistent (a length, token, or
     /// count disagrees with the schema or the declared raw length).
     Corrupt(&'static str),
-    /// The codec id byte is not one this build knows.
-    UnknownCodec(u8),
     /// The raw packet stream handed to the encoder does not parse under the
     /// schema (an encoder-side bug, never caused by stored data).
     MalformedRaw(&'static str),
@@ -107,7 +105,6 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::Truncated => write!(f, "encoded block truncated"),
             CodecError::Corrupt(what) => write!(f, "encoded block corrupt: {what}"),
-            CodecError::UnknownCodec(id) => write!(f, "unknown codec id {id}"),
             CodecError::MalformedRaw(what) => write!(f, "raw packet stream malformed: {what}"),
         }
     }

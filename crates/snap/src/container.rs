@@ -1,7 +1,7 @@
 //! The on-disk checkpoint container and its cycle index.
 //!
 //! Both images reuse the trace store's CRC framing
-//! ([`vidi_trace::FrameWriter`] / [`vidi_trace::recover_frames`]): the
+//! ([`vidi_trace::FrameWriter`] / [`vidi_trace::FrameChecker`]): the
 //! payload is carved into 64-byte storage words, each carrying a CRC-32, a
 //! sequence number, and a cumulative *complete-record* counter. Decoding
 //! therefore never fails on a damaged image — it hands back the longest
@@ -21,13 +21,15 @@
 //! entry     := cycle:u64 offset:u64 len:u64     (offset/len in payload bytes)
 //! ```
 //!
-//! The header and every checkpoint each end with a `mark_packet`, so the
+//! The header and every checkpoint each end with a `mark_packets(1)`, so the
 //! frame recovery's packet counter says how many *complete* checkpoints
 //! survive in a truncated or bit-flipped image.
 
 use vidi_host::{RetryPolicy, TraceStorage};
 use vidi_hwsim::{StateReader, StateWriter};
-use vidi_trace::{recover_frames, FrameWriter, FRAME_PAYLOAD_BYTES, STORAGE_WORD_BYTES};
+use vidi_trace::{
+    recover_frames, FrameChecker, FrameWriter, FRAME_PAYLOAD_BYTES, STORAGE_WORD_BYTES,
+};
 
 use crate::SnapError;
 
@@ -91,7 +93,7 @@ impl CheckpointLog {
         header.u32(self.checkpoints.len() as u32);
         let mut offset = header.len() as u64;
         fw.push_bytes(header.as_bytes());
-        fw.mark_packet();
+        fw.mark_packets(1);
 
         let mut entries = Vec::with_capacity(self.checkpoints.len());
         for cp in &self.checkpoints {
@@ -107,9 +109,9 @@ impl CheckpointLog {
             });
             offset += w.len() as u64;
             fw.push_bytes(w.as_bytes());
-            fw.mark_packet();
+            fw.mark_packets(1);
         }
-        (fw.finish_bytes(), CheckpointIndex { entries })
+        (fw.finish(), CheckpointIndex { entries })
     }
 
     /// Decodes a (possibly damaged) container image, returning the longest
@@ -224,16 +226,16 @@ impl CheckpointIndex {
         header.u16(SNAP_VERSION);
         header.u32(self.entries.len() as u32);
         fw.push_bytes(header.as_bytes());
-        fw.mark_packet();
+        fw.mark_packets(1);
         for e in &self.entries {
             let mut w = StateWriter::new();
             w.u64(e.cycle);
             w.u64(e.offset);
             w.u64(e.len);
             fw.push_bytes(w.as_bytes());
-            fw.mark_packet();
+            fw.mark_packets(1);
         }
-        fw.finish_bytes()
+        fw.finish()
     }
 
     /// Decodes a (possibly damaged) index image to its clean entry prefix.
@@ -271,45 +273,49 @@ impl CheckpointIndex {
     }
 }
 
-/// Extracts and CRC-verifies the payload byte range `[offset, offset+len)`
+/// Extracts and verifies the payload byte range `[offset, offset+len)`
 /// from a framed container image, touching only the storage words that
 /// cover the range — the point of the index: a seek decodes one
-/// checkpoint's words, not the whole image.
+/// checkpoint's words, not the whole image. Each covering word goes through
+/// the same [`FrameChecker`] as full recovery, started at the range's first
+/// word index, so a CRC-valid word at the wrong position is rejected too.
 ///
 /// # Errors
 ///
 /// [`SnapError::Format`] when the range runs past the image or any covering
 /// word fails its integrity check.
 pub fn extract_payload(image: &[u8], offset: u64, len: u64) -> Result<Vec<u8>, SnapError> {
-    let (offset, len) = (offset as usize, len as usize);
+    // Payload bytes are fewer than image bytes, so a range ending past the
+    // image length is hostile; rejecting it first also bounds every
+    // allocation below by the image size.
+    let end = offset
+        .checked_add(len)
+        .filter(|&end| end <= image.len() as u64)
+        .ok_or_else(|| {
+            SnapError::Format(format!(
+                "checkpoint range {offset}+{len} beyond a {}-byte image",
+                image.len()
+            ))
+        })?;
+    let (offset, end) = (offset as usize, end as usize);
     let first_word = offset / FRAME_PAYLOAD_BYTES;
-    let last_word = (offset + len).div_ceil(FRAME_PAYLOAD_BYTES).max(1) - 1;
+    // An empty range still reads (and checks) the word holding `offset`.
+    let last_word = end.div_ceil(FRAME_PAYLOAD_BYTES).max(first_word + 1) - 1;
+    let mut check = FrameChecker::starting_at(first_word as u64);
     let mut payload = Vec::with_capacity((last_word - first_word + 1) * FRAME_PAYLOAD_BYTES);
     for wi in first_word..=last_word {
         let start = wi * STORAGE_WORD_BYTES;
         let word = image
             .get(start..start + STORAGE_WORD_BYTES)
             .ok_or_else(|| SnapError::Format(format!("image truncated at word {wi}")))?;
-        // Verify this word in isolation — full frame recovery would rescan
-        // from word 0, defeating the point of the index.
-        let stored_crc =
-            u32::from_le_bytes(word[STORAGE_WORD_BYTES - 4..].try_into().expect("4 bytes"));
-        if vidi_trace::crc32(&word[..STORAGE_WORD_BYTES - 4]) != stored_crc {
-            return Err(SnapError::Format(format!("corrupt word {wi} under seek")));
-        }
-        let wlen = u16::from_le_bytes(
-            word[FRAME_PAYLOAD_BYTES..FRAME_PAYLOAD_BYTES + 2]
-                .try_into()
-                .expect("2 bytes"),
-        ) as usize;
-        if wlen > FRAME_PAYLOAD_BYTES {
-            return Err(SnapError::Format(format!("impossible length in word {wi}")));
-        }
-        payload.extend_from_slice(&word[..wlen]);
+        let checked = check
+            .check(word)
+            .ok_or_else(|| SnapError::Format(format!("corrupt word {wi} under seek")))?;
+        payload.extend_from_slice(checked.payload);
     }
     let skip = offset - first_word * FRAME_PAYLOAD_BYTES;
     payload
-        .get(skip..skip + len)
+        .get(skip..skip + (end - offset))
         .map(<[u8]>::to_vec)
         .ok_or_else(|| SnapError::Format("checkpoint range beyond recovered payload".into()))
 }
@@ -480,5 +486,68 @@ mod tests {
         assert!(rec.complete);
         assert_eq!(rec.log, log);
         assert_eq!(load_index(&mut idx_store, &policy).unwrap(), index);
+    }
+
+    /// Index of a storage word whose payload lies wholly inside checkpoint
+    /// `i`'s state blob.
+    fn word_inside_state(log: &CheckpointLog, index: &CheckpointIndex, i: usize) -> usize {
+        let e = index.entries[i];
+        let state_len = log.checkpoints[i].state.len() as u64;
+        let state_start = e.offset + e.len - state_len;
+        let word = state_start.div_ceil(FRAME_PAYLOAD_BYTES as u64);
+        assert!((word + 1) * FRAME_PAYLOAD_BYTES as u64 <= e.offset + e.len);
+        word as usize
+    }
+
+    #[test]
+    fn seek_rejects_a_misplaced_word() {
+        let log = sample_log();
+        let (mut image, index) = log.encode_framed();
+        // Copy a CRC-valid word from checkpoint 3's state over one inside
+        // checkpoint 4's: only its sequence number gives it away.
+        let from = word_inside_state(&log, &index, 3) * STORAGE_WORD_BYTES;
+        let to = word_inside_state(&log, &index, 4) * STORAGE_WORD_BYTES;
+        image.copy_within(from..from + STORAGE_WORD_BYTES, to);
+        let rec = CheckpointLog::decode_framed(&image).unwrap();
+        assert_eq!(rec.log.checkpoints.len(), 4);
+        assert!(!rec.complete);
+        assert_eq!(
+            load_checkpoint_at(&image, &index.entries[3]).unwrap(),
+            log.checkpoints[3]
+        );
+        match load_checkpoint_at(&image, &index.entries[4]) {
+            Err(SnapError::Format(_)) => {}
+            other => panic!("misplaced word must be a format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn seek_rejects_hostile_index_entries() {
+        let empty = CheckpointLog {
+            checkpoints: Vec::new(),
+            final_cycle: 0,
+            completed: true,
+        };
+        let (image, _) = empty.encode_framed();
+        for (offset, len) in [(0, 1u64 << 40), (u64::MAX - 10, 100)] {
+            let entry = IndexEntry {
+                cycle: 0,
+                offset,
+                len,
+            };
+            match load_checkpoint_at(&image, &entry) {
+                Err(SnapError::Format(_)) => {}
+                other => panic!("({offset}, {len}) must be a format error, got {other:?}"),
+            }
+        }
+        // An empty range starting on a word boundary inside the image holds
+        // no checkpoint record.
+        let (image, _) = sample_log().encode_framed();
+        let empty_range = IndexEntry {
+            cycle: 0,
+            offset: 2 * FRAME_PAYLOAD_BYTES as u64,
+            len: 0,
+        };
+        assert!(load_checkpoint_at(&image, &empty_range).is_err());
     }
 }

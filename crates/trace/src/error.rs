@@ -17,11 +17,6 @@ pub enum TraceError {
     },
     /// A channel name was not valid UTF-8.
     BadChannelName,
-    /// Trailing bytes after the last packet.
-    TrailingBytes {
-        /// Number of unconsumed bytes.
-        extra: usize,
-    },
     /// A layout has more channels than the wire format can index: channel
     /// counts and the per-packet `Ends` indices are serialized as `u16`, so
     /// layouts are capped at `u16::MAX` channels.
@@ -73,9 +68,6 @@ impl fmt::Display for TraceError {
                 write!(f, "trace truncated at byte offset {offset}")
             }
             TraceError::BadChannelName => write!(f, "channel name is not valid UTF-8"),
-            TraceError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after the last packet")
-            }
             TraceError::TooManyChannels { count } => {
                 write!(
                     f,

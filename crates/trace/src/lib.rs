@@ -2,9 +2,10 @@
 //!
 //! Everything that touches a recorded trace lives here: the channel/cycle
 //! packet formats of §3.1–§3.2 (Fig 5), the self-describing binary trace
-//! encoding, the 64-byte storage-word packing of §3.3, and the two offline
-//! analysis tools of §4.2 — trace **validation** (divergence detection,
-//! §3.6/§5.4) and trace **mutation** (event reordering for testing, §5.3).
+//! encoding, the CRC-framed 64-byte storage words of §3.3 with their
+//! streaming sink and source, and the two offline analysis tools of §4.2 —
+//! trace **validation** (divergence detection, §3.6/§5.4) and trace
+//! **mutation** (event reordering for testing, §5.3).
 //!
 //! ```
 //! use vidi_chan::Direction;
@@ -22,8 +23,10 @@
 //!     &[ChannelPacket::start_with(Bits::from_u64(32, 0x1000))],
 //!     false,
 //! ));
-//! let bytes = trace.encode();
-//! assert_eq!(Trace::decode(&bytes)?, trace);
+//! let framed = trace.encode_framed();
+//! let recovered = vidi_trace::recover_trace(&framed)?;
+//! assert!(recovered.is_complete());
+//! assert_eq!(recovered.trace, trace);
 //! # Ok::<(), vidi_trace::TraceError>(())
 //! ```
 
@@ -33,7 +36,6 @@ mod error;
 mod layout;
 mod mutate;
 mod packet;
-mod reader;
 mod stats;
 mod store_format;
 mod stream;
@@ -44,15 +46,14 @@ pub use error::TraceError;
 pub use layout::{ChannelInfo, TraceLayout};
 pub use mutate::{reorder_end_before, EndEventRef, MutateError};
 pub use packet::{ChannelPacket, CyclePacket};
-pub use reader::{recover_trace, RecoveredTrace, TraceReader};
 pub use stats::{ChannelStats, TraceStats};
 pub use store_format::{
-    crc32, pack, recover_frames, storage_bytes, unpack, FrameRecovery, FrameWriter, StorageWord,
-    FRAME_PAYLOAD_BYTES, FRAME_TRAILER_BYTES, STORAGE_WORD_BYTES,
+    crc32, recover_frames, storage_bytes, CheckedWord, FrameChecker, FrameRecovery, FrameWriter,
+    StorageWord, FRAME_PAYLOAD_BYTES, FRAME_TRAILER_BYTES, STORAGE_WORD_BYTES,
 };
 pub use stream::{
-    ChunkIoError, ChunkSink, ChunkSource, Cycles, SharedChunks, SinkParts, SourcePos, TraceSink,
-    TraceSource, DEFAULT_CHUNK_WORDS,
+    recover_trace, ChunkIoError, ChunkSink, ChunkSource, Cycles, RecoveredTrace, SharedChunks,
+    SinkParts, SourcePos, TraceSink, TraceSource, DEFAULT_CHUNK_WORDS,
 };
 pub use trace::Trace;
 pub use validate::{compare, Divergence, DivergenceReport};

@@ -1,10 +1,19 @@
-//! Storage-interface packing (§3.3).
+//! The storage word (§3.3): the one module that writes and checks it.
 //!
 //! The trace store converts variable-sized cycle packets into the fixed-size
 //! storage interface available to FPGA applications — on AWS F1, CPU-side
 //! DRAM exposed as 64-byte granular read/write operations over AXI. Multiple
 //! cycle packets are packed into a single storage word when possible (the
 //! paper's example: a 48-byte and a 16-byte packet sharing one cache line).
+//!
+//! Every word is CRC-framed: it carries [`FRAME_PAYLOAD_BYTES`] of payload
+//! and a `len`/`seq`/`packets`/`crc` trailer, so a reader facing a torn
+//! write, a bit flip, or a truncated file can still recover the longest
+//! valid prefix — the same guarantee journaling file systems give their
+//! logs. [`FrameWriter`] is the only code that seals words and
+//! [`FrameChecker`] the only code that parses a trailer; the streaming
+//! [`TraceSink`](crate::TraceSink) and [`TraceSource`](crate::TraceSource)
+//! and the checkpoint container all go through them.
 
 /// Size of one storage interface word (an F1 PCIe/DRAM cache line).
 pub const STORAGE_WORD_BYTES: usize = 64;
@@ -12,60 +21,11 @@ pub const STORAGE_WORD_BYTES: usize = 64;
 /// One fixed-size storage word.
 pub type StorageWord = [u8; STORAGE_WORD_BYTES];
 
-/// Packs a byte stream into 64-byte storage words, zero-padding the tail.
-///
-/// The byte stream is the concatenation of encoded cycle packets; because
-/// the layout makes every packet self-delimiting, no framing bytes are
-/// needed and packets freely straddle word boundaries.
-pub fn pack(bytes: &[u8]) -> Vec<StorageWord> {
-    bytes
-        .chunks(STORAGE_WORD_BYTES)
-        .map(|chunk| {
-            let mut w = [0u8; STORAGE_WORD_BYTES];
-            w[..chunk.len()].copy_from_slice(chunk);
-            w
-        })
-        .collect()
-}
-
-/// Flattens storage words back into a byte stream of `len` meaningful bytes.
-///
-/// # Panics
-///
-/// Panics if `len` exceeds the total capacity of `words`.
-pub fn unpack(words: &[StorageWord], len: usize) -> Vec<u8> {
-    assert!(
-        len <= words.len() * STORAGE_WORD_BYTES,
-        "unpack length exceeds storage capacity"
-    );
-    let mut out = Vec::with_capacity(len);
-    for w in words {
-        let take = (len - out.len()).min(STORAGE_WORD_BYTES);
-        out.extend_from_slice(&w[..take]);
-        if out.len() == len {
-            break;
-        }
-    }
-    out
-}
-
 /// The storage footprint of `bytes` of trace data, in bytes, after 64-byte
 /// alignment — the size a deployment actually consumes in CPU DRAM.
 pub fn storage_bytes(bytes: u64) -> u64 {
     bytes.div_ceil(STORAGE_WORD_BYTES as u64) * STORAGE_WORD_BYTES as u64
 }
-
-// ---------------------------------------------------------------------------
-// Crash-safe framing.
-//
-// The plain `pack` layout assumes storage never fails: one flipped bit
-// anywhere poisons every packet after it, because packets are
-// self-delimiting and a corrupted length field desynchronizes the decoder.
-// The framed layout trades 14 bytes of every 64-byte storage word for
-// per-word integrity metadata, so a reader facing a torn write, a bit flip,
-// or a truncated file can still recover the longest valid prefix of the
-// trace — the same guarantee journaling file systems give their logs.
-// ---------------------------------------------------------------------------
 
 /// Payload bytes carried by one framed storage word.
 pub const FRAME_PAYLOAD_BYTES: usize = STORAGE_WORD_BYTES - FRAME_TRAILER_BYTES;
@@ -106,10 +66,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Seals one framed storage word: payload, then the `len`/`seq`/`packets`
-/// trailer, then a CRC-32 over everything preceding the CRC field. The one
-/// word-sealing path shared by [`FrameWriter`] and the streaming
-/// [`TraceSink`](crate::TraceSink).
-pub(crate) fn seal_word(payload: &[u8], seq: u32, packets: u32) -> StorageWord {
+/// trailer, then a CRC-32 over everything preceding the CRC field.
+fn seal_word(payload: &[u8], seq: u32, packets: u32) -> StorageWord {
     debug_assert!(payload.len() <= FRAME_PAYLOAD_BYTES);
     let mut w = [0u8; STORAGE_WORD_BYTES];
     w[..payload.len()].copy_from_slice(payload);
@@ -124,17 +82,27 @@ pub(crate) fn seal_word(payload: &[u8], seq: u32, packets: u32) -> StorageWord {
 
 /// Streams a byte sequence into CRC-framed storage words.
 ///
-/// Each emitted word carries [`FRAME_PAYLOAD_BYTES`] payload bytes plus a
+/// Each sealed word carries [`FRAME_PAYLOAD_BYTES`] payload bytes plus a
 /// trailer holding the payload length, the word's sequence number, the
 /// cumulative count of *complete* packets whose final byte lies at or before
 /// the end of this word, and a CRC-32 over everything preceding the CRC
 /// field. The packet counter is what lets recovery hand back a clean packet
 /// prefix instead of a ragged byte prefix.
-#[derive(Debug, Default)]
+///
+/// Words seal lazily: a word full of payload stays open until the next byte
+/// arrives, so a packet ending exactly on a word boundary is still counted
+/// in that word's trailer by [`mark_packets`](FrameWriter::mark_packets).
+/// Only the final word of a stream is ever short.
+#[derive(Debug, Clone, Default)]
 pub struct FrameWriter {
-    words: Vec<StorageWord>,
-    pending: Vec<u8>,
-    packets_complete: u32,
+    /// Payload of the open (unsealed) word, at most [`FRAME_PAYLOAD_BYTES`].
+    pub(crate) pending: Vec<u8>,
+    /// Sealed words not yet taken by the owner.
+    pub(crate) sealed: Vec<u8>,
+    /// Words sealed so far (the next word's sequence number).
+    pub(crate) words_sealed: u64,
+    /// Trailer packet counter.
+    pub(crate) packets_complete: u32,
 }
 
 impl FrameWriter {
@@ -144,49 +112,110 @@ impl FrameWriter {
     }
 
     /// Appends payload bytes, sealing words as they fill.
-    pub fn push_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            // Seal lazily: a word full of payload stays open until the next
-            // byte arrives, so a packet ending exactly on a word boundary is
-            // still counted in that word's trailer by `mark_packet`.
+    pub fn push_bytes(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
             if self.pending.len() == FRAME_PAYLOAD_BYTES {
                 self.seal();
             }
-            self.pending.push(b);
+            let n = (FRAME_PAYLOAD_BYTES - self.pending.len()).min(bytes.len());
+            self.pending.extend_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
         }
     }
 
-    /// Records that one packet's bytes are now fully pushed.
-    pub fn mark_packet(&mut self) {
-        self.packets_complete = self.packets_complete.saturating_add(1);
+    /// Records that `n` more packets' bytes are now fully pushed.
+    pub fn mark_packets(&mut self, n: u32) {
+        self.packets_complete = self.packets_complete.saturating_add(n);
     }
 
-    /// Seals any partial word and returns the framed words.
-    pub fn finish(mut self) -> Vec<StorageWord> {
+    /// Seals the open word, if it holds any payload.
+    pub(crate) fn seal_partial(&mut self) {
         if !self.pending.is_empty() {
             self.seal();
         }
-        self.words
     }
 
-    /// Seals any partial word and returns the frames as a flat byte stream.
-    pub fn finish_bytes(self) -> Vec<u8> {
-        let words = self.finish();
-        let mut out = Vec::with_capacity(words.len() * STORAGE_WORD_BYTES);
-        for w in &words {
-            out.extend_from_slice(w);
-        }
-        out
+    /// Bytes held: sealed words plus the open word's payload.
+    pub(crate) fn buffered_bytes(&self) -> usize {
+        self.sealed.len() + self.pending.len()
+    }
+
+    /// Seals any partial word and returns every sealed word as a flat byte
+    /// stream.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.seal_partial();
+        self.sealed
     }
 
     fn seal(&mut self) {
         let w = seal_word(
             &self.pending,
-            self.words.len() as u32,
+            self.words_sealed as u32,
             self.packets_complete,
         );
-        self.words.push(w);
+        self.sealed.extend_from_slice(&w);
+        self.words_sealed += 1;
         self.pending.clear();
+    }
+}
+
+/// A storage word that passed [`FrameChecker::check`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckedWord<'a> {
+    /// The word's payload bytes.
+    pub payload: &'a [u8],
+    /// The trailer's cumulative complete-packet count.
+    pub packets: u32,
+}
+
+/// Verifies consecutive framed storage words — the one parser of the
+/// `len`/`seq`/`packets`/`crc` trailer.
+///
+/// A word passes when it is a whole 64-byte word, its CRC matches, its
+/// length fits the payload area, its sequence number is its index in the
+/// stream, and no earlier checked word was short (a writer only ever emits
+/// a short word as the final one). Callers stop at the first failure; the
+/// words before it are the certified prefix.
+#[derive(Debug, Clone, Default)]
+pub struct FrameChecker {
+    next_seq: u64,
+    after_short: bool,
+}
+
+impl FrameChecker {
+    /// A checker whose first word is storage word `index` of the stream —
+    /// how a seek verifies a range without rescanning from word 0.
+    pub fn starting_at(index: u64) -> Self {
+        FrameChecker {
+            next_seq: index,
+            after_short: false,
+        }
+    }
+
+    /// Checks the next word, returning its payload and packet count, or
+    /// `None` if it fails (the checker does not advance then).
+    pub fn check<'a>(&mut self, word: &'a [u8]) -> Option<CheckedWord<'a>> {
+        if word.len() != STORAGE_WORD_BYTES || self.after_short {
+            return None;
+        }
+        let field =
+            |at: usize, n: usize| &word[FRAME_PAYLOAD_BYTES + at..FRAME_PAYLOAD_BYTES + at + n];
+        let len = u16::from_le_bytes(field(0, 2).try_into().expect("2 bytes")) as usize;
+        let seq = u32::from_le_bytes(field(2, 4).try_into().expect("4 bytes"));
+        let packets = u32::from_le_bytes(field(6, 4).try_into().expect("4 bytes"));
+        let crc = u32::from_le_bytes(field(10, 4).try_into().expect("4 bytes"));
+        if crc32(&word[..STORAGE_WORD_BYTES - 4]) != crc
+            || len > FRAME_PAYLOAD_BYTES
+            || seq != self.next_seq as u32
+        {
+            return None;
+        }
+        self.next_seq += 1;
+        self.after_short = len < FRAME_PAYLOAD_BYTES;
+        Some(CheckedWord {
+            payload: &word[..len],
+            packets,
+        })
     }
 }
 
@@ -199,87 +228,42 @@ pub struct FrameRecovery {
     /// Complete packets contained in `payload` (the cumulative counter of
     /// the last valid word).
     pub packets: u32,
-    /// Index of the first storage word that failed its integrity check
-    /// (bad CRC, wrong sequence number, impossible length, or a torn /
-    /// truncated tail), or `None` if every word verified.
+    /// Index of the first storage word that failed its
+    /// [`FrameChecker`] check (bad CRC, wrong sequence number, impossible
+    /// length, a word after a short one, or a torn / truncated tail), or
+    /// `None` if every word verified.
     pub first_corrupt_word: Option<usize>,
     /// Total 64-byte words present in the input (including a torn tail
     /// fragment, counted as one).
     pub total_words: usize,
 }
 
-/// Scans a framed byte stream word by word, verifying each trailer, and
-/// returns the longest valid prefix. Never fails: arbitrary garbage simply
-/// recovers an empty prefix.
+/// Scans a framed byte stream word by word and returns the longest valid
+/// prefix. Never fails: arbitrary garbage simply recovers an empty prefix.
 pub fn recover_frames(bytes: &[u8]) -> FrameRecovery {
+    let mut check = FrameChecker::default();
     let mut payload = Vec::new();
     let mut packets = 0u32;
     let mut first_corrupt_word = None;
-    let total_words = bytes.len().div_ceil(STORAGE_WORD_BYTES);
-    for (i, chunk) in bytes.chunks(STORAGE_WORD_BYTES).enumerate() {
-        if chunk.len() < STORAGE_WORD_BYTES {
+    for (i, word) in bytes.chunks(STORAGE_WORD_BYTES).enumerate() {
+        let Some(w) = check.check(word) else {
             first_corrupt_word = Some(i);
             break;
-        }
-        let stored_crc = u32::from_le_bytes(chunk[STORAGE_WORD_BYTES - 4..].try_into().unwrap());
-        let len = u16::from_le_bytes(
-            chunk[FRAME_PAYLOAD_BYTES..FRAME_PAYLOAD_BYTES + 2]
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        let seq = u32::from_le_bytes(
-            chunk[FRAME_PAYLOAD_BYTES + 2..FRAME_PAYLOAD_BYTES + 6]
-                .try_into()
-                .unwrap(),
-        );
-        let word_packets = u32::from_le_bytes(
-            chunk[FRAME_PAYLOAD_BYTES + 6..FRAME_PAYLOAD_BYTES + 10]
-                .try_into()
-                .unwrap(),
-        );
-        if crc32(&chunk[..STORAGE_WORD_BYTES - 4]) != stored_crc
-            || len > FRAME_PAYLOAD_BYTES
-            || seq != i as u32
-        {
-            first_corrupt_word = Some(i);
-            break;
-        }
-        payload.extend_from_slice(&chunk[..len]);
-        packets = word_packets;
+        };
+        payload.extend_from_slice(w.payload);
+        packets = w.packets;
     }
     FrameRecovery {
         payload,
         packets,
         first_corrupt_word,
-        total_words,
+        total_words: bytes.len().div_ceil(STORAGE_WORD_BYTES),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        let data: Vec<u8> = (0..200u16).map(|i| i as u8).collect();
-        let words = pack(&data);
-        assert_eq!(words.len(), 4); // 200 bytes -> 4 words
-        assert_eq!(unpack(&words, data.len()), data);
-    }
-
-    #[test]
-    fn exact_multiple() {
-        let data = vec![7u8; 128];
-        let words = pack(&data);
-        assert_eq!(words.len(), 2);
-        assert_eq!(unpack(&words, 128), data);
-    }
-
-    #[test]
-    fn empty() {
-        assert!(pack(&[]).is_empty());
-        assert!(unpack(&[], 0).is_empty());
-    }
 
     #[test]
     fn footprint_rounds_up() {
@@ -301,10 +285,10 @@ mod tests {
         let data: Vec<u8> = (0..123u32).map(|i| (i * 7) as u8).collect();
         let mut w = FrameWriter::new();
         w.push_bytes(&data[..60]);
-        w.mark_packet();
+        w.mark_packets(1);
         w.push_bytes(&data[60..]);
-        w.mark_packet();
-        let bytes = w.finish_bytes();
+        w.mark_packets(1);
+        let bytes = w.finish();
         assert_eq!(bytes.len() % STORAGE_WORD_BYTES, 0);
         let rec = recover_frames(&bytes);
         assert_eq!(rec.first_corrupt_word, None);
@@ -317,14 +301,13 @@ mod tests {
         // Exactly one word of payload, packet marked after the final byte.
         let mut w = FrameWriter::new();
         w.push_bytes(&[1u8; FRAME_PAYLOAD_BYTES]);
-        w.mark_packet();
+        w.mark_packets(1);
         w.push_bytes(&[2, 3]);
-        let words = w.finish();
-        assert_eq!(words.len(), 2);
-        let rec = recover_frames(&words.concat());
+        let mut bytes = w.finish();
+        assert_eq!(bytes.len(), 2 * STORAGE_WORD_BYTES);
+        let rec = recover_frames(&bytes);
         assert_eq!(rec.packets, 1);
         // Corrupting word 1 must still recover the boundary packet.
-        let mut bytes = words.concat();
         bytes[STORAGE_WORD_BYTES + 3] ^= 0x40;
         let rec = recover_frames(&bytes);
         assert_eq!(rec.first_corrupt_word, Some(1));
@@ -337,9 +320,9 @@ mod tests {
         let mut w = FrameWriter::new();
         for i in 0..10u8 {
             w.push_bytes(&[i; 30]);
-            w.mark_packet();
+            w.mark_packets(1);
         }
-        let mut bytes = w.finish_bytes();
+        let mut bytes = w.finish();
         let n_words = bytes.len() / STORAGE_WORD_BYTES;
         assert!(n_words >= 4);
         bytes[2 * STORAGE_WORD_BYTES + 10] ^= 0x01;
@@ -354,8 +337,8 @@ mod tests {
     fn torn_tail_is_reported() {
         let mut w = FrameWriter::new();
         w.push_bytes(&[9u8; 80]);
-        w.mark_packet();
-        let mut bytes = w.finish_bytes();
+        w.mark_packets(1);
+        let mut bytes = w.finish();
         bytes.truncate(bytes.len() - 10);
         let rec = recover_frames(&bytes);
         assert_eq!(rec.first_corrupt_word, Some(1));
@@ -371,5 +354,31 @@ mod tests {
         let rec = recover_frames(&[]);
         assert_eq!(rec.first_corrupt_word, None);
         assert!(rec.payload.is_empty());
+    }
+
+    #[test]
+    fn misplaced_and_post_short_words_are_rejected() {
+        let mut w = FrameWriter::new();
+        w.push_bytes(&[5u8; 3 * FRAME_PAYLOAD_BYTES]);
+        w.mark_packets(1);
+        let bytes = w.finish();
+        // A CRC-valid word at the wrong index fails its sequence check.
+        let mut swapped = bytes.clone();
+        swapped.copy_within(0..STORAGE_WORD_BYTES, 2 * STORAGE_WORD_BYTES);
+        assert_eq!(recover_frames(&swapped).first_corrupt_word, Some(2));
+        // The same word checks clean where a seek expects it.
+        let word2 = &bytes[2 * STORAGE_WORD_BYTES..];
+        assert!(FrameChecker::starting_at(2).check(word2).is_some());
+        assert!(FrameChecker::starting_at(1).check(word2).is_none());
+        // A short word may only be the last one.
+        let mut short = FrameWriter::new();
+        short.push_bytes(&[1, 2, 3]);
+        let mut tail = FrameWriter::new();
+        tail.push_bytes(&[0u8; 2 * FRAME_PAYLOAD_BYTES]);
+        let mut image = short.finish();
+        image.extend_from_slice(&tail.finish()[STORAGE_WORD_BYTES..]);
+        let rec = recover_frames(&image);
+        assert_eq!(rec.first_corrupt_word, Some(1));
+        assert_eq!(rec.payload, vec![1, 2, 3]);
     }
 }

@@ -28,10 +28,10 @@
 //! number, and cumulative complete-packet count, so a torn tail (a chunk
 //! that never reached the backend, a partial write, a bit flip at rest)
 //! degrades to the longest certified prefix — exactly the
-//! [`recover_trace`](crate::recover_trace) guarantee, which is itself
-//! implemented over [`TraceSource`]. Under a codec the trailer count only
-//! advances when a whole block has been staged, so the certified prefix
-//! never ends mid-block and recovery needs no codec-specific resync.
+//! [`recover_trace`] guarantee, which is itself implemented over
+//! [`TraceSource`]. Under a codec the trailer count only advances when a
+//! whole block has been staged, so the certified prefix never ends
+//! mid-block and recovery needs no codec-specific resync.
 
 use std::fmt;
 use std::sync::Arc;
@@ -41,9 +41,10 @@ use vidi_codec::{CodecId, PacketSchema};
 use crate::error::TraceError;
 use crate::layout::TraceLayout;
 use crate::packet::CyclePacket;
-use crate::reader::{decode_header, decode_packet, Cursor};
-use crate::store_format::{crc32, seal_word, FRAME_PAYLOAD_BYTES, STORAGE_WORD_BYTES};
-use crate::trace::{encode_header_into, encode_packet_into};
+use crate::store_format::{FrameChecker, FrameWriter, FRAME_PAYLOAD_BYTES, STORAGE_WORD_BYTES};
+use crate::trace::{
+    decode_header, decode_packet, encode_header_into, encode_packet_into, Cursor, Trace,
+};
 
 /// Default chunk size in 64-byte storage words (4 KiB chunks).
 pub const DEFAULT_CHUNK_WORDS: usize = 64;
@@ -217,10 +218,9 @@ fn block_wire_bytes(codec: CodecId, schema: &PacketSchema, raw: &[u8], n_packets
 /// Streams cycle packets into CRC-framed storage words, flushing fixed-size
 /// chunks to a [`ChunkSink`] backend.
 ///
-/// The raw framing is bit-identical to [`FrameWriter`](crate::FrameWriter)
-/// (and to [`Trace::encode_framed`](crate::Trace::encode_framed), which is
-/// built on this sink): words seal lazily so a packet ending exactly on a
-/// word boundary is counted in that word's trailer. Under a block codec
+/// Words are sealed by a [`FrameWriter`] (so a packet ending exactly on a
+/// word boundary is counted in that word's trailer), and
+/// [`Trace::encode_framed`] is built on this sink. Under a block codec
 /// ([`TraceSink::with_codec`]) packets accumulate into a raw block first and
 /// the trailer count advances only when the whole block is staged. The sink
 /// buffers at most the open chunk plus one raw block plus whatever a caller
@@ -242,12 +242,9 @@ pub struct TraceSink<W: ChunkSink> {
     /// Cumulative raw-minus-wire bytes saved by compression, until
     /// [`take_compression_savings`](TraceSink::take_compression_savings).
     savings: u64,
-    /// Payload of the open (unsealed) word, `< FRAME_PAYLOAD_BYTES + 1`.
-    pending: Vec<u8>,
-    /// Sealed words not yet flushed to the backend.
-    sealed: Vec<u8>,
-    words_sealed: u64,
-    packets_complete: u32,
+    /// The framer: the open word, sealed words not yet flushed to the
+    /// backend, and the trailer counters.
+    frames: FrameWriter,
     packets: u64,
     next_chunk_seq: u64,
     chunks_flushed: u64,
@@ -333,10 +330,7 @@ impl<W: ChunkSink> TraceSink<W> {
             blk_packets: 0,
             blk_target: (chunk_bytes / STORAGE_WORD_BYTES) * FRAME_PAYLOAD_BYTES,
             savings: 0,
-            pending: Vec::with_capacity(FRAME_PAYLOAD_BYTES),
-            sealed: Vec::new(),
-            words_sealed: 0,
-            packets_complete: 0,
+            frames: FrameWriter::new(),
             packets: 0,
             next_chunk_seq: 0,
             chunks_flushed: 0,
@@ -357,27 +351,8 @@ impl<W: ChunkSink> TraceSink<W> {
     }
 
     fn push_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            // Seal lazily (see FrameWriter): a full word stays open until
-            // the next byte arrives, so mark_packet lands boundary packets
-            // in the right trailer.
-            if self.pending.len() == FRAME_PAYLOAD_BYTES {
-                self.seal_pending();
-            }
-            self.pending.push(b);
-        }
+        self.frames.push_bytes(bytes);
         self.peak_buffered = self.peak_buffered.max(self.buffered_bytes());
-    }
-
-    fn seal_pending(&mut self) {
-        let w = seal_word(
-            &self.pending,
-            self.words_sealed as u32,
-            self.packets_complete,
-        );
-        self.sealed.extend_from_slice(&w);
-        self.words_sealed += 1;
-        self.pending.clear();
     }
 
     /// Encodes and frames the open block, if non-empty. The trailer packet
@@ -393,7 +368,7 @@ impl<W: ChunkSink> TraceSink<W> {
         let wire = block_wire_bytes(self.codec, &self.schema, &raw, n);
         self.savings += (raw.len() as u64).saturating_sub(wire.len() as u64);
         self.push_bytes(&wire);
-        self.packets_complete = self.packets_complete.saturating_add(n);
+        self.frames.mark_packets(n);
     }
 
     /// Stages one cycle packet into the framing without flushing.
@@ -407,7 +382,7 @@ impl<W: ChunkSink> TraceSink<W> {
             let mut buf = Vec::new();
             encode_packet_into(&mut buf, packet);
             self.push_bytes(&buf);
-            self.packets_complete = self.packets_complete.saturating_add(1);
+            self.frames.mark_packets(1);
         } else {
             encode_packet_into(&mut self.blk_raw, packet);
             self.blk_packets = self.blk_packets.saturating_add(1);
@@ -421,7 +396,7 @@ impl<W: ChunkSink> TraceSink<W> {
 
     /// Full chunks currently buffered and ready to flush.
     pub fn full_chunks(&self) -> usize {
-        self.sealed.len() / self.chunk_bytes
+        self.frames.sealed.len() / self.chunk_bytes
     }
 
     /// Flushes one full chunk to the backend, if one is buffered.
@@ -431,12 +406,13 @@ impl<W: ChunkSink> TraceSink<W> {
     /// Returns the backend's [`ChunkIoError`]; the chunk stays buffered and
     /// the call can be retried.
     pub fn flush_one(&mut self) -> Result<bool, ChunkIoError> {
-        if self.sealed.len() < self.chunk_bytes {
+        let sealed = &mut self.frames.sealed;
+        if sealed.len() < self.chunk_bytes {
             return Ok(false);
         }
         self.backend
-            .put_chunk(self.next_chunk_seq, &self.sealed[..self.chunk_bytes])?;
-        self.sealed.drain(..self.chunk_bytes);
+            .put_chunk(self.next_chunk_seq, &sealed[..self.chunk_bytes])?;
+        sealed.drain(..self.chunk_bytes);
         self.next_chunk_seq += 1;
         self.chunks_flushed += 1;
         self.flushed_bytes += self.chunk_bytes as u64;
@@ -474,18 +450,17 @@ impl<W: ChunkSink> TraceSink<W> {
     pub fn finalize(&mut self) -> Result<(), ChunkIoError> {
         if !self.finished {
             self.seal_block();
-            if !self.pending.is_empty() {
-                self.seal_pending();
-            }
+            self.frames.seal_partial();
             self.finished = true;
         }
         self.flush_full()?;
-        if !self.sealed.is_empty() {
-            self.backend.put_chunk(self.next_chunk_seq, &self.sealed)?;
+        let sealed = &mut self.frames.sealed;
+        if !sealed.is_empty() {
+            self.backend.put_chunk(self.next_chunk_seq, sealed)?;
             self.next_chunk_seq += 1;
             self.chunks_flushed += 1;
-            self.flushed_bytes += self.sealed.len() as u64;
-            self.sealed.clear();
+            self.flushed_bytes += sealed.len() as u64;
+            sealed.clear();
         }
         Ok(())
     }
@@ -507,36 +482,23 @@ impl<W: ChunkSink> TraceSink<W> {
     /// packet — how an in-memory recording materializes a
     /// [`Trace`](crate::Trace) mid-run without disturbing the sink.
     pub fn unflushed_tail_image(&self) -> Vec<u8> {
-        let mut sealed = self.sealed.clone();
-        let mut pending = self.pending.clone();
-        let mut words_sealed = self.words_sealed;
-        let mut packets_complete = self.packets_complete;
+        let mut tail = self.frames.clone();
         if self.blk_packets > 0 {
-            let wire = block_wire_bytes(self.codec, &self.schema, &self.blk_raw, self.blk_packets);
-            for &b in &wire {
-                if pending.len() == FRAME_PAYLOAD_BYTES {
-                    sealed.extend_from_slice(&seal_word(
-                        &pending,
-                        words_sealed as u32,
-                        packets_complete,
-                    ));
-                    words_sealed += 1;
-                    pending.clear();
-                }
-                pending.push(b);
-            }
-            packets_complete = packets_complete.saturating_add(self.blk_packets);
+            tail.push_bytes(&block_wire_bytes(
+                self.codec,
+                &self.schema,
+                &self.blk_raw,
+                self.blk_packets,
+            ));
+            tail.mark_packets(self.blk_packets);
         }
-        if !pending.is_empty() {
-            sealed.extend_from_slice(&seal_word(&pending, words_sealed as u32, packets_complete));
-        }
-        sealed
+        tail.finish()
     }
 
     /// Bytes currently buffered (sealed-but-unflushed, the open word, and
     /// the open raw block).
     pub fn buffered_bytes(&self) -> usize {
-        self.sealed.len() + self.pending.len() + self.blk_raw.len()
+        self.frames.buffered_bytes() + self.blk_raw.len()
     }
 
     /// High-water mark of [`buffered_bytes`](TraceSink::buffered_bytes).
@@ -559,7 +521,7 @@ impl<W: ChunkSink> TraceSink<W> {
     /// [`finalize`](TraceSink::finalize) this is the exact stream length —
     /// the numerator of the bytes-per-cycle storage-bandwidth metric.
     pub fn bytes_written(&self) -> u64 {
-        self.flushed_bytes + (self.sealed.len() + self.pending.len()) as u64
+        self.flushed_bytes + self.frames.buffered_bytes() as u64
     }
 
     /// The block codec this sink encodes with.
@@ -595,10 +557,10 @@ impl<W: ChunkSink> TraceSink<W> {
     /// checkpoint. `sink_state` pairs with [`restore_parts`].
     pub fn save_parts(&self) -> SinkParts {
         SinkParts {
-            pending: self.pending.clone(),
-            sealed: self.sealed.clone(),
-            words_sealed: self.words_sealed,
-            packets_complete: self.packets_complete,
+            pending: self.frames.pending.clone(),
+            sealed: self.frames.sealed.clone(),
+            words_sealed: self.frames.words_sealed,
+            packets_complete: self.frames.packets_complete,
             packets: self.packets,
             next_chunk_seq: self.next_chunk_seq,
             chunks_flushed: self.chunks_flushed,
@@ -613,10 +575,12 @@ impl<W: ChunkSink> TraceSink<W> {
 
     /// Restores framing state captured by [`TraceSink::save_parts`].
     pub fn restore_parts(&mut self, parts: SinkParts) {
-        self.pending = parts.pending;
-        self.sealed = parts.sealed;
-        self.words_sealed = parts.words_sealed;
-        self.packets_complete = parts.packets_complete;
+        self.frames = FrameWriter {
+            pending: parts.pending,
+            sealed: parts.sealed,
+            words_sealed: parts.words_sealed,
+            packets_complete: parts.packets_complete,
+        };
         self.packets = parts.packets;
         self.next_chunk_seq = parts.next_chunk_seq;
         self.chunks_flushed = parts.chunks_flushed;
@@ -691,9 +655,9 @@ pub struct SourcePos {
 
 /// Pull-based chunked decoder over a framed trace stream.
 ///
-/// `open` makes one bounded-memory certification pass (CRC, sequence,
-/// length per word — the [`recover_frames`](crate::recover_frames)
-/// contract), parses the self-describing header (including the negotiated
+/// `open` makes one bounded-memory certification pass (every word through
+/// the [`FrameChecker`], as [`recover_frames`](crate::recover_frames)
+/// does), parses the self-describing header (including the negotiated
 /// block codec), and records how many packets the frame trailers certify.
 /// `next_packet` then decodes through a bounded window — raw streams read
 /// ahead one chunk at a time; compressed streams decode one block at a time
@@ -763,7 +727,7 @@ impl<R: ChunkSource> TraceSource<R> {
         let mut certified_payload_len = 0u64;
         let mut trailer_packets = 0u32;
         let mut first_corrupt_word = None;
-        let mut saw_short = false;
+        let mut check = FrameChecker::default();
         let mut head: Vec<u8> = Vec::new();
         let mut header: Option<(TraceLayout, bool, u64, u64, u8)> = None;
         'scan: while word < total_words as u64 {
@@ -772,45 +736,15 @@ impl<R: ChunkSource> TraceSource<R> {
             read_full(&backend, word * STORAGE_WORD_BYTES as u64, &mut buf[..want])
                 .map_err(io_error)?;
             for chunk in buf[..want].chunks(STORAGE_WORD_BYTES) {
-                if chunk.len() < STORAGE_WORD_BYTES || saw_short {
-                    // A torn tail fragment, or a word following a
-                    // short-payload word (the writer only ever emits a short
-                    // word as the final one).
+                let Some(checked) = check.check(chunk) else {
                     first_corrupt_word = Some(word as usize);
                     break 'scan;
-                }
-                let stored_crc =
-                    u32::from_le_bytes(chunk[STORAGE_WORD_BYTES - 4..].try_into().expect("4"));
-                let len = u16::from_le_bytes(
-                    chunk[FRAME_PAYLOAD_BYTES..FRAME_PAYLOAD_BYTES + 2]
-                        .try_into()
-                        .expect("2"),
-                ) as usize;
-                let seq = u32::from_le_bytes(
-                    chunk[FRAME_PAYLOAD_BYTES + 2..FRAME_PAYLOAD_BYTES + 6]
-                        .try_into()
-                        .expect("4"),
-                );
-                let word_packets = u32::from_le_bytes(
-                    chunk[FRAME_PAYLOAD_BYTES + 6..FRAME_PAYLOAD_BYTES + 10]
-                        .try_into()
-                        .expect("4"),
-                );
-                if crc32(&chunk[..STORAGE_WORD_BYTES - 4]) != stored_crc
-                    || len > FRAME_PAYLOAD_BYTES
-                    || seq != word as u32
-                {
-                    first_corrupt_word = Some(word as usize);
-                    break 'scan;
-                }
+                };
                 certified_words += 1;
-                certified_payload_len += len as u64;
-                trailer_packets = word_packets;
-                if len < FRAME_PAYLOAD_BYTES {
-                    saw_short = true;
-                }
+                certified_payload_len += checked.payload.len() as u64;
+                trailer_packets = checked.packets;
                 if header.is_none() {
-                    head.extend_from_slice(&chunk[..len]);
+                    head.extend_from_slice(checked.payload);
                     let mut cur = Cursor::new(&head);
                     match decode_header(&mut cur) {
                         Ok((layout, roc, count, codec)) => {
@@ -1193,6 +1127,63 @@ impl<R: ChunkSource> Iterator for Cycles<'_, R> {
     }
 }
 
+/// The result of recovering a CRC-framed trace stream (see
+/// [`Trace::encode_framed`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecoveredTrace {
+    /// The recovered packet prefix, with the original layout.
+    pub trace: Trace,
+    /// Packets actually recovered.
+    pub recovered_packets: u64,
+    /// Packets the (CRC-verified) header declared the trace to hold. For a
+    /// streaming recording (whose header carries a sentinel count) this is
+    /// the count the frame trailers certify.
+    pub declared_packets: u64,
+    /// First storage word that failed its integrity check, if any.
+    pub first_corrupt_word: Option<usize>,
+}
+
+impl RecoveredTrace {
+    /// Whether the whole trace survived intact.
+    pub fn is_complete(&self) -> bool {
+        self.first_corrupt_word.is_none() && self.recovered_packets == self.declared_packets
+    }
+}
+
+/// Decodes a CRC-framed trace stream, resynchronizing past corruption.
+///
+/// Every 64-byte storage word is integrity-checked (CRC-32, sequence
+/// number, length bound); the valid payload prefix before the first bad
+/// word is then decoded up to the last packet the frame trailers certify as
+/// complete. Bit flips, torn writes, and truncated tails therefore cost
+/// only the suffix of the trace — the prefix replays normally.
+///
+/// This is a convenience over [`TraceSource`]: it opens a source over the
+/// byte image and drains it into an in-memory [`Trace`].
+///
+/// # Errors
+///
+/// Returns a [`TraceError`] only when the corruption reaches into the
+/// self-description header, leaving nothing to recover.
+pub fn recover_trace(framed: &[u8]) -> Result<RecoveredTrace, TraceError> {
+    let mut src = TraceSource::open(framed, DEFAULT_CHUNK_WORDS)?;
+    let mut trace = Trace::new(src.layout().clone(), src.records_output_content());
+    let mut recovered_packets = 0u64;
+    // The trailer may certify more packets than the payload actually parses
+    // to (adversarial or mis-written frames): keep the packets that did
+    // decode rather than discarding the run.
+    while let Ok(Some(p)) = src.next_packet() {
+        trace.push(p);
+        recovered_packets += 1;
+    }
+    Ok(RecoveredTrace {
+        trace,
+        recovered_packets,
+        declared_packets: src.declared_packets(),
+        first_corrupt_word: src.first_corrupt_word(),
+    })
+}
+
 fn io_error(e: ChunkIoError) -> TraceError {
     TraceError::Io(e.0)
 }
@@ -1223,7 +1214,6 @@ mod tests {
     use super::*;
     use crate::layout::ChannelInfo;
     use crate::packet::ChannelPacket;
-    use crate::trace::Trace;
     use vidi_chan::Direction;
     use vidi_hwsim::Bits;
 
@@ -1292,31 +1282,91 @@ mod tests {
         t
     }
 
+    /// 64-bit FNV-1a. A CRC-32 over a whole framed image is no fingerprint:
+    /// every sealed word ends in its own CRC, which leaves the CRC register
+    /// in the same residue state, so the image CRC depends only on the word
+    /// count.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
     #[test]
-    fn declared_sink_matches_encode_framed() {
-        for roc in [false, true] {
-            let t = sample(40, roc);
-            let framed = t.encode_framed();
-            // encode_framed is itself built on the sink; cross-check against
-            // the legacy FrameWriter to pin the byte format.
-            let mut fw = crate::FrameWriter::new();
-            let mut header = Vec::new();
-            encode_header_into(
-                &mut header,
-                t.layout(),
-                roc,
-                t.packets().len() as u64,
+    fn framed_bytes_are_pinned() {
+        // (length, FNV-1a) of each image: the whole streamed recording, the
+        // mid-run flushed-plus-tail image after half the packets, and the
+        // declared-count `encode_framed` form. Pinned on the pre-framer
+        // sink; any drift changes every stored trace and checkpoint.
+        type Image = (usize, u64);
+        let traces = [sample(40, false), sample(40, true), repetitive(200)];
+        let streamed: [(usize, CodecId, Image, Image); 6] = [
+            (
+                0,
                 CodecId::Raw,
-            );
-            fw.push_bytes(&header);
-            let mut buf = Vec::new();
-            for p in t.packets() {
-                buf.clear();
-                encode_packet_into(&mut buf, p);
-                fw.push_bytes(&buf);
-                fw.mark_packet();
+                (320, 0x0357_aaea_6f52_c472),
+                (192, 0xef76_1306_bfa2_e8f0),
+            ),
+            (
+                0,
+                CodecId::XorDict,
+                (384, 0x3ccf_40cc_3415_ca98),
+                (192, 0xd82f_af7a_f73a_5734),
+            ),
+            (
+                1,
+                CodecId::Raw,
+                (384, 0x117b_c2b2_975b_2124),
+                (256, 0x170e_2c4a_4cfe_4265),
+            ),
+            (
+                1,
+                CodecId::XorDict,
+                (448, 0xe835_7c46_6a1c_c64a),
+                (256, 0x4548_536b_3dfc_c4f3),
+            ),
+            (
+                2,
+                CodecId::Raw,
+                (1408, 0x874c_c8ac_db7d_502f),
+                (768, 0xfef5_1647_1a40_112c),
+            ),
+            (
+                2,
+                CodecId::XorDict,
+                (1088, 0x73b8_f3c1_5b46_0cd9),
+                (576, 0x92af_5366_b5aa_c8f5),
+            ),
+        ];
+        let declared: [Image; 3] = [
+            (320, 0x6866_38f8_ac08_da71),
+            (384, 0x6c1d_c095_c0d3_28f3),
+            (1408, 0xf0f8_3d8f_5dba_3f62),
+        ];
+        for (i, codec, stream, mid) in streamed {
+            let t = &traces[i];
+            let (first, second) = t.packets().split_at(t.packets().len() / 2);
+            let roc = t.records_output_content();
+            let mut sink = TraceSink::with_codec(Vec::new(), t.layout(), roc, 2, codec);
+            for p in first {
+                sink.push(p).unwrap();
             }
-            assert_eq!(framed, fw.finish_bytes());
+            let mut image = sink.backend().clone();
+            image.extend_from_slice(&sink.unflushed_tail_image());
+            assert_eq!(
+                (image.len(), fnv1a(&image)),
+                mid,
+                "trace {i} {codec} mid-run"
+            );
+            for p in second {
+                sink.push(p).unwrap();
+            }
+            let bytes = sink.finish().unwrap();
+            assert_eq!((bytes.len(), fnv1a(&bytes)), stream, "trace {i} {codec}");
+        }
+        for (t, pinned) in traces.iter().zip(declared) {
+            let framed = t.encode_framed();
+            assert_eq!((framed.len(), fnv1a(&framed)), pinned, "encode_framed");
         }
     }
 
@@ -1446,7 +1496,7 @@ mod tests {
         }
         let mut image = sink.backend().clone();
         image.extend_from_slice(&sink.unflushed_tail_image());
-        let rec = crate::recover_trace(&image).unwrap();
+        let rec = recover_trace(&image).unwrap();
         assert_eq!(rec.recovered_packets, 30);
         assert_eq!(rec.trace.packets(), t.packets());
         // The sink is undisturbed: staging more still works.
@@ -1464,7 +1514,7 @@ mod tests {
         }
         let mut image = sink.backend().clone();
         image.extend_from_slice(&sink.unflushed_tail_image());
-        let rec = crate::recover_trace(&image).unwrap();
+        let rec = recover_trace(&image).unwrap();
         assert_eq!(rec.recovered_packets, 45, "codec {codec}");
         assert_eq!(rec.trace.packets(), t.packets(), "codec {codec}");
         // The sink is undisturbed: the open block keeps accumulating.
@@ -1571,7 +1621,7 @@ mod tests {
             sink.chunks_flushed() >= 3,
             "need several chunks for the test to mean anything"
         );
-        let rec = crate::recover_trace(&survived).unwrap();
+        let rec = recover_trace(&survived).unwrap();
         assert!(rec.recovered_packets > 0);
         assert_eq!(
             rec.trace.packets(),
@@ -1590,7 +1640,7 @@ mod tests {
         // Crash without finalize: only flushed chunks survive.
         let survived = sink.backend().clone();
         assert!(sink.chunks_flushed() >= 3, "codec {codec}");
-        let rec = crate::recover_trace(&survived).unwrap();
+        let rec = recover_trace(&survived).unwrap();
         assert!(rec.recovered_packets > 0, "codec {codec}");
         assert_eq!(
             rec.trace.packets(),
@@ -1600,7 +1650,7 @@ mod tests {
         // Arbitrary further truncation still yields a clean prefix —
         // never a panic, never garbage packets.
         for cut in [survived.len() - 1, survived.len() - 63, survived.len() / 2] {
-            let rec = crate::recover_trace(&survived[..cut]).unwrap();
+            let rec = recover_trace(&survived[..cut]).unwrap();
             assert_eq!(
                 rec.trace.packets(),
                 &t.packets()[..rec.recovered_packets as usize],
@@ -1668,13 +1718,69 @@ mod tests {
         for retired in [1u8, 3] {
             let mut bad = bytes.clone();
             bad[7] = retired;
-            let crc = crc32(&bad[..STORAGE_WORD_BYTES - 4]);
+            let crc = crate::crc32(&bad[..STORAGE_WORD_BYTES - 4]);
             bad[STORAGE_WORD_BYTES - 4..STORAGE_WORD_BYTES].copy_from_slice(&crc.to_le_bytes());
             match TraceSource::open(bad.as_slice(), 2) {
                 Err(TraceError::UnsupportedCodec { codec }) => assert_eq!(codec, retired),
                 other => panic!("codec {retired}: expected UnsupportedCodec, got {other:?}"),
             }
-            assert!(crate::recover_trace(&bad).is_err(), "codec {retired}");
+            assert!(recover_trace(&bad).is_err(), "codec {retired}");
         }
+    }
+
+    #[test]
+    fn framed_roundtrip_recovers_everything() {
+        let trace = sample(5, true);
+        let framed = trace.encode_framed();
+        let rec = recover_trace(&framed).unwrap();
+        assert!(rec.is_complete());
+        assert_eq!(rec.recovered_packets, 5);
+        assert_eq!(rec.declared_packets, 5);
+        assert_eq!(rec.trace, trace);
+    }
+
+    #[test]
+    fn framed_bit_flip_recovers_prefix() {
+        let trace = sample(5, true);
+        let framed = trace.encode_framed();
+        // Flip a payload bit in the last storage word.
+        let last_word = framed.len() - STORAGE_WORD_BYTES;
+        let mut bad = framed.clone();
+        bad[last_word + 5] ^= 0x10;
+        let rec = recover_trace(&bad).unwrap();
+        assert!(!rec.is_complete());
+        assert_eq!(
+            rec.first_corrupt_word,
+            Some(framed.len() / STORAGE_WORD_BYTES - 1)
+        );
+        assert_eq!(rec.declared_packets, 5);
+        // Everything before the corrupt word replays.
+        assert_eq!(
+            rec.trace.packets(),
+            &trace.packets()[..rec.recovered_packets as usize]
+        );
+    }
+
+    #[test]
+    fn framed_truncation_recovers_prefix() {
+        let trace = sample(5, true);
+        let mut framed = trace.encode_framed();
+        // Keep the first word (which holds the header) plus a torn fragment.
+        framed.truncate(STORAGE_WORD_BYTES + 7);
+        let rec = recover_trace(&framed).unwrap();
+        assert!(!rec.is_complete());
+        assert_eq!(
+            rec.trace.packets(),
+            &trace.packets()[..rec.recovered_packets as usize]
+        );
+    }
+
+    #[test]
+    fn framed_header_corruption_is_typed_error() {
+        let trace = sample(5, true);
+        let mut framed = trace.encode_framed();
+        framed[3] ^= 0xFF; // word 0 carries the header
+        assert!(recover_trace(&framed).is_err());
+        assert!(recover_trace(&[]).is_err());
     }
 }

@@ -1,10 +1,16 @@
-//! The trace container, its binary serialization, and size accounting.
+//! The trace container, the cycle-packet wire format in both directions,
+//! and size accounting.
+//!
+//! [`encode_header_into`]/[`encode_packet_into`] and
+//! [`decode_header`]/[`decode_packet`] are the one packet codec; the
+//! streaming [`TraceSink`](crate::TraceSink) and
+//! [`TraceSource`](crate::TraceSource) frame those bytes into storage words.
 
 use vidi_chan::Direction;
 use vidi_hwsim::Bits;
 
 use crate::error::TraceError;
-use crate::layout::TraceLayout;
+use crate::layout::{ChannelInfo, TraceLayout};
 use crate::packet::CyclePacket;
 
 const MAGIC: &[u8; 4] = b"VIDI";
@@ -114,7 +120,9 @@ impl Trace {
         out
     }
 
-    /// Serializes the trace to its binary format.
+    /// Serializes the trace to its canonical unframed byte form: the header
+    /// then every packet, as one stream. Trace-identity checks compare this
+    /// form; storage always uses [`encode_framed`](Trace::encode_framed).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = self.encode_header();
         let n_inputs = self.layout.input_indices().count();
@@ -160,41 +168,6 @@ impl Trace {
             sink.push(p).expect("Vec chunk sink cannot fail");
         }
         sink.finish().expect("Vec chunk sink cannot fail")
-    }
-
-    /// Deserializes a trace from its binary format.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceError`] describing the first structural problem.
-    pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
-        let mut r = crate::reader::Cursor::new(bytes);
-        let (layout, record_output_content, n_packets, codec) =
-            crate::reader::decode_header(&mut r)?;
-        if codec != vidi_codec::CodecId::Raw as u8 {
-            // An unframed body is always raw packets; compressed streams
-            // only exist under the chunk framing (use TraceSource).
-            return Err(TraceError::UnsupportedCodec { codec });
-        }
-        let n_packets = n_packets as usize;
-        let mut packets = Vec::with_capacity(n_packets.min(1 << 20));
-        for _ in 0..n_packets {
-            packets.push(crate::reader::decode_packet(
-                &mut r,
-                &layout,
-                record_output_content,
-            )?);
-        }
-        if r.pos() != bytes.len() {
-            return Err(TraceError::TrailingBytes {
-                extra: bytes.len() - r.pos(),
-            });
-        }
-        Ok(Trace {
-            layout,
-            record_output_content,
-            packets,
-        })
     }
 
     /// The trace body size in bytes (cycle packets only, excluding the
@@ -269,6 +242,134 @@ pub(crate) fn encode_header_into(
         });
     }
     write_u64(out, count);
+}
+
+/// Parses the self-description header: layout, output-content flag, the
+/// declared packet count, and the negotiated block-codec id byte (version-1
+/// headers are raw; version-2 headers carry the codec byte after the
+/// output-content flag).
+pub(crate) fn decode_header(
+    r: &mut Cursor<'_>,
+) -> Result<(TraceLayout, bool, u64, u8), TraceError> {
+    if r.take(4)? != MAGIC {
+        return Err(TraceError::BadMagic);
+    }
+    let version = r.u16()?;
+    if version != VERSION && version != VERSION_CODEC {
+        return Err(TraceError::BadVersion(version));
+    }
+    let record_output_content = r.u8()? != 0;
+    let codec = if version == VERSION_CODEC { r.u8()? } else { 0 };
+    let n_channels = r.u16()? as usize;
+    let mut channels = Vec::with_capacity(n_channels);
+    for _ in 0..n_channels {
+        let name_len = r.u16()? as usize;
+        let name = std::str::from_utf8(r.take(name_len)?)
+            .map_err(|_| TraceError::BadChannelName)?
+            .to_string();
+        let width = r.u32()?;
+        let direction = if r.u8()? == 0 {
+            Direction::Input
+        } else {
+            Direction::Output
+        };
+        channels.push(ChannelInfo {
+            name,
+            width,
+            direction,
+        });
+    }
+    let count = r.u64()?;
+    Ok((
+        TraceLayout::new(channels),
+        record_output_content,
+        count,
+        codec,
+    ))
+}
+
+/// Decodes one self-delimiting cycle packet at the cursor.
+pub(crate) fn decode_packet(
+    r: &mut Cursor<'_>,
+    layout: &TraceLayout,
+    record_output_content: bool,
+) -> Result<CyclePacket, TraceError> {
+    let n_inputs = layout.input_indices().count();
+    let starts = r.bitvec(n_inputs)?;
+    let ends = r.bitvec(layout.len())?;
+    let mut contents = Vec::new();
+    // Input-start contents, in channel order.
+    let mut input_pos = 0;
+    for ch in layout.channels() {
+        if ch.direction == Direction::Input {
+            if starts[input_pos] {
+                contents.push(r.bits(ch.width)?);
+            }
+            input_pos += 1;
+        }
+    }
+    // Output-end contents, when enabled.
+    if record_output_content {
+        for (idx, ch) in layout.channels().iter().enumerate() {
+            if ch.direction == Direction::Output && ends[idx] {
+                contents.push(r.bits(ch.width)?);
+            }
+        }
+    }
+    Ok(CyclePacket {
+        starts,
+        ends,
+        contents,
+    })
+}
+
+/// A read cursor over packet-format bytes.
+pub(crate) struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Cursor { buf, pos: 0 }
+    }
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
+        if self.pos + n > self.buf.len() {
+            return Err(TraceError::Truncated { offset: self.pos });
+        }
+        let s = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+    fn u8(&mut self) -> Result<u8, TraceError> {
+        Ok(self.take(1)?[0])
+    }
+    fn u16(&mut self) -> Result<u16, TraceError> {
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
+    }
+    fn u32(&mut self) -> Result<u32, TraceError> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+    fn u64(&mut self) -> Result<u64, TraceError> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+    fn bitvec(&mut self, n: usize) -> Result<Vec<bool>, TraceError> {
+        let bytes = self.take(n.div_ceil(8))?;
+        Ok((0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
+    }
+    fn bits(&mut self, width: u32) -> Result<Bits, TraceError> {
+        let bytes = self.take(width.div_ceil(8) as usize)?;
+        Ok(Bits::from_bytes(bytes).resize(width))
+    }
 }
 
 fn write_u16(out: &mut Vec<u8>, v: u16) {
@@ -365,15 +466,15 @@ mod tests {
     #[test]
     fn roundtrip_without_output_content() {
         let t = sample_trace(false);
-        let bytes = t.encode();
-        let back = Trace::decode(&bytes).unwrap();
-        assert_eq!(back, t);
+        let rec = crate::recover_trace(&t.encode_framed()).unwrap();
+        assert!(rec.is_complete());
+        assert_eq!(rec.trace, t);
     }
 
     #[test]
     fn roundtrip_with_output_content() {
         let t = sample_trace(true);
-        let back = Trace::decode(&t.encode()).unwrap();
+        let back = crate::recover_trace(&t.encode_framed()).unwrap().trace;
         assert_eq!(back, t);
         assert_eq!(back.output_contents(1), vec![Bits::from_u64(2, 0b01)]);
     }
@@ -389,20 +490,30 @@ mod tests {
         assert_eq!(contents, vec![Bits::from_u64(32, 0x1000)]);
     }
 
+    /// Patches header bytes in storage word 0 and re-seals its CRC, so
+    /// only the header content is wrong.
+    fn resealed(framed: &[u8], at: usize, patch: &[u8]) -> Vec<u8> {
+        use crate::{crc32, STORAGE_WORD_BYTES};
+        let mut bad = framed.to_vec();
+        bad[at..at + patch.len()].copy_from_slice(patch);
+        let crc = crc32(&bad[..STORAGE_WORD_BYTES - 4]);
+        bad[STORAGE_WORD_BYTES - 4..STORAGE_WORD_BYTES].copy_from_slice(&crc.to_le_bytes());
+        bad
+    }
+
     #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(Trace::decode(b"nope").unwrap_err(), TraceError::BadMagic);
-        let mut good = sample_trace(false).encode();
-        good.truncate(good.len() - 1);
+    fn bad_header_is_rejected() {
+        use crate::TraceSource;
+        let framed = sample_trace(false).encode_framed();
+        let open = |bytes: Vec<u8>| TraceSource::open(bytes, 2).map(|_| ()).unwrap_err();
+        assert_eq!(open(resealed(&framed, 0, b"nope")), TraceError::BadMagic);
+        assert_eq!(
+            open(resealed(&framed, 4, &7u16.to_le_bytes())),
+            TraceError::BadVersion(7)
+        );
         assert!(matches!(
-            Trace::decode(&good).unwrap_err(),
-            TraceError::Truncated { .. }
-        ));
-        let mut extra = sample_trace(false).encode();
-        extra.push(0);
-        assert!(matches!(
-            Trace::decode(&extra).unwrap_err(),
-            TraceError::TrailingBytes { extra: 1 }
+            open(b"nope".to_vec()),
+            TraceError::Truncated { offset: 0 }
         ));
     }
 

@@ -15,11 +15,10 @@ cargo fmt --all --check
 echo "── clippy (warnings are errors) ────────────────────────────────"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "── tier-1: release build + tests ───────────────────────────────"
+echo "── release build + workspace tests (unit + integration + soak) ─"
+# `cargo test -q --workspace` covers the root package's tests too (the
+# tier-1 set), so each test runs once.
 cargo build --release
-cargo test -q
-
-echo "── workspace tests (unit + integration + fault-matrix soak) ────"
 cargo test -q --workspace
 
 echo "── streaming soak: bounded-memory record + kill-recovery gate ──"
