@@ -35,10 +35,10 @@
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
-use vidi_apps::{build_app, run_echo_atop, AppId, Scale};
+use vidi_apps::{build_app, run_echo_atop, AppId, BuiltApp, Scale};
 use vidi_bench::debug::{run_script, DebugOptions, DebugTarget, Debugger};
 use vidi_chan::AtopFilterMode;
-use vidi_core::VidiConfig;
+use vidi_core::{SessionCursor, Stop, StopReason, VidiConfig};
 use vidi_host::{file_chunk_source, load_trace, save_trace, FileChunkSink};
 use vidi_trace::{
     compare, reorder_end_before, CodecId, Divergence, EndEventRef, Trace, TraceSink, TraceSource,
@@ -519,30 +519,36 @@ fn sample(args: &[String]) -> CliResult {
         }
         .with_trace_codec(codec),
     );
-    let handles = built.cpu.clone();
+    let sink = FileChunkSink::create(&args[0])?;
     built
-        .sim
+        .shim
+        .stream_to(Box::new(sink))
+        .map_err(|e| CliError::Data(e.to_string()))?;
+    let mut cursor = SessionCursor::new(&mut built);
+    let ev = cursor
         .run_until(
-            move |_| handles.iter().all(|h| h.borrow().finished),
-            2_000_000,
-            "all CPU threads to finish",
+            Stop::when(|b: &mut BuiltApp| b.cpu.iter().all(|h| h.borrow().finished))
+                .or_at_cycle(2_000_000)
+                .check_every(1),
         )
         .map_err(|e| CliError::Data(e.to_string()))?;
+    if ev.reason != StopReason::PredicateTrue {
+        return Err(CliError::Data(format!(
+            "CPU threads still running at cycle {}",
+            ev.cycle
+        )));
+    }
+    cursor.flush().map_err(|e| CliError::Data(e.to_string()))?;
     built
-        .sim
-        .run(vidi_core::drive::FLUSH_MARGIN)
-        .map_err(|e| CliError::Data(e.to_string()))?;
-    let image = built
         .shim
-        .recorded_stream_image()
-        .ok_or_else(|| CliError::Data("recording produced no stream image".into()))?;
-    std::fs::write(&args[0], &image)?;
+        .finalize_recording()
+        .map_err(|e| CliError::Data(e.to_string()))?;
     println!(
         "recorded {} (seed {}) through {}: {} B -> {}",
         opts.app.label(),
         opts.seed,
         codec.name(),
-        image.len(),
+        built.shim.stats().bytes_written,
         args[0]
     );
     Ok(ExitCode::SUCCESS)

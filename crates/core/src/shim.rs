@@ -323,7 +323,7 @@ impl VidiShim {
     /// have already been flushed to the previous backend.
     pub fn stream_to(&self, backend: Box<dyn ChunkSink>) -> Result<(), ChunkIoError> {
         let Some(rec) = &self.record else {
-            return Err(ChunkIoError(
+            return Err(ChunkIoError::Permanent(
                 "shim is not recording; nothing to stream".into(),
             ));
         };

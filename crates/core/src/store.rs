@@ -150,7 +150,7 @@ impl RecordedRun {
     /// previous backend — a stream cannot change storage mid-flight.
     pub fn stream_to(&mut self, backend: Box<dyn ChunkSink>) -> Result<(), ChunkIoError> {
         if self.sink.chunks_flushed() > 0 {
-            return Err(ChunkIoError(
+            return Err(ChunkIoError::Permanent(
                 "cannot redirect a recording whose chunks were already flushed".into(),
             ));
         }
@@ -416,7 +416,12 @@ impl StoreCore {
                 found: "external chunk backend".into(),
             });
         }
-        run.sink.restore_parts(parts);
+        run.sink
+            .restore_parts(parts)
+            .map_err(|e| StateError::Mismatch {
+                expected: "trace sink state a sink could have saved".into(),
+                found: e.to_string(),
+            })?;
         run.sink.swap_backend(RecordBackend::Memory(flushed));
         run.body_bytes = body_bytes;
         run.dropped_packets = dropped_packets;

@@ -18,17 +18,20 @@
 //!   storage-write failures and bandwidth collapse in the trace store,
 //!   reservation stall storms in the encoder (VALID/READY back-pressure on
 //!   every monitored channel), fetch collapse in the replay decoder.
-//! * [`FaultPlan::wrap_storage`] → a [`TraceStorage`] middlebox injecting
-//!   transient faults that [`RetryPolicy`](vidi_host::RetryPolicy)-driven
-//!   savers/loaders must absorb.
+//! * [`FaultPlan::wrap_storage`] → a [`FaultyStorage`] wrapper around any
+//!   [`ChunkSink`]/[`ChunkSource`] backend, injecting transient
+//!   [`ChunkIoError`]s that a retry wrapper (`vidi_host::RetryPolicy`)
+//!   around it must absorb.
 //! * [`FaultPlan::corrupt`] → bit flips / truncation applied to serialized
 //!   trace bytes, against which the CRC-framed storage layout
 //!   ([`vidi_trace::recover_trace`]) recovers a clean packet prefix.
 
 #![forbid(unsafe_code)]
 
+use std::sync::Mutex;
+
 use vidi_core::{FaultInjection, StoreWriteOutcome};
-use vidi_host::{StorageFault, TraceStorage};
+use vidi_trace::{ChunkIoError, ChunkSink, ChunkSource};
 
 /// Distinct hash streams, so e.g. storage-write decisions never correlate
 /// with stall-storm phases under the same seed.
@@ -231,14 +234,13 @@ impl FaultPlan {
         faults
     }
 
-    /// Wraps a storage backend so its operations fail per this plan's
+    /// Wraps a chunk backend so its operations fail per this plan's
     /// host-I/O schedule.
-    pub fn wrap_storage<S: TraceStorage>(&self, inner: S) -> FaultyStorage<S> {
+    pub fn wrap_storage<S>(&self, inner: S) -> FaultyStorage<S> {
         FaultyStorage {
             inner,
             plan: *self,
-            op: 0,
-            attempt: 0,
+            cursor: Mutex::new((0, 0)),
         }
     }
 
@@ -266,20 +268,21 @@ impl FaultPlan {
     }
 }
 
-/// A [`TraceStorage`] middlebox that injects transient faults per a
-/// [`FaultPlan`]'s host-I/O schedule. A failing operation fails for
-/// `failures_per_op` consecutive attempts, then succeeds — so a
-/// sufficiently patient [`RetryPolicy`](vidi_host::RetryPolicy) always gets
-/// through, and an impatient one surfaces a typed
-/// [`StorageFault::Transient`].
-#[derive(Debug, Clone)]
+/// A chunk backend wrapper that injects transient faults per a
+/// [`FaultPlan`]'s host-I/O schedule. Every operation —
+/// [`put_chunk`](ChunkSink::put_chunk), [`byte_len`](ChunkSource::byte_len),
+/// [`read_at`](ChunkSource::read_at) — is one scheduled op. A failing
+/// operation fails for `failures_per_op` consecutive attempts, then
+/// succeeds — so a sufficiently patient retry policy always gets through,
+/// and an impatient one surfaces a typed [`ChunkIoError::Transient`].
+#[derive(Debug)]
 pub struct FaultyStorage<S> {
     inner: S,
     plan: FaultPlan,
-    /// Operations attempted so far (advances only on success or on giving
-    /// way after the scheduled failures).
-    op: u64,
-    attempt: u32,
+    /// `(op, attempt)`: operations completed so far (advances only on
+    /// giving way after the scheduled failures) and failed attempts of the
+    /// current one. Behind a lock because reads take `&self`.
+    cursor: Mutex<(u64, u32)>,
 }
 
 impl<S> FaultyStorage<S> {
@@ -288,52 +291,44 @@ impl<S> FaultyStorage<S> {
         self.inner
     }
 
-    fn draws_fault(&mut self) -> bool {
-        if self.plan.host_io_fails(self.op, self.attempt) {
-            self.attempt += 1;
-            true
+    fn draw(&self) -> Result<(), ChunkIoError> {
+        let mut cursor = self
+            .cursor
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (op, attempt) = *cursor;
+        if self.plan.host_io_fails(op, attempt) {
+            *cursor = (op, attempt + 1);
+            Err(ChunkIoError::Transient("injected storage fault".into()))
         } else {
-            self.op += 1;
-            self.attempt = 0;
-            false
+            *cursor = (op + 1, 0);
+            Ok(())
         }
     }
 }
 
-impl<S: TraceStorage> TraceStorage for FaultyStorage<S> {
-    fn write(&mut self, bytes: &[u8]) -> Result<(), StorageFault> {
-        if self.draws_fault() {
-            return Err(StorageFault::Transient("injected storage fault".into()));
-        }
-        self.inner.write(bytes)
+impl<S: ChunkSink> ChunkSink for FaultyStorage<S> {
+    fn put_chunk(&mut self, seq: u64, bytes: &[u8]) -> Result<(), ChunkIoError> {
+        self.draw()?;
+        self.inner.put_chunk(seq, bytes)
+    }
+}
+
+impl<S: ChunkSource> ChunkSource for FaultyStorage<S> {
+    fn byte_len(&self) -> Result<u64, ChunkIoError> {
+        self.draw()?;
+        self.inner.byte_len()
     }
 
-    fn read(&mut self) -> Result<Vec<u8>, StorageFault> {
-        if self.draws_fault() {
-            return Err(StorageFault::Transient("injected storage fault".into()));
-        }
-        self.inner.read()
-    }
-
-    fn append(&mut self, bytes: &[u8]) -> Result<(), StorageFault> {
-        if self.draws_fault() {
-            return Err(StorageFault::Transient("injected storage fault".into()));
-        }
-        self.inner.append(bytes)
-    }
-
-    fn clear(&mut self) -> Result<(), StorageFault> {
-        if self.draws_fault() {
-            return Err(StorageFault::Transient("injected storage fault".into()));
-        }
-        self.inner.clear()
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<usize, ChunkIoError> {
+        self.draw()?;
+        self.inner.read_at(offset, buf)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vidi_host::MemStorage;
 
     fn stormy() -> FaultSpec {
         FaultSpec {
@@ -471,8 +466,8 @@ mod tests {
 
     #[test]
     fn faulty_storage_clears_with_patient_retry() {
-        use vidi_host::{load_trace_durable, save_trace_durable, RetryPolicy};
-        use vidi_trace::{ChannelInfo, Trace, TraceLayout};
+        use vidi_host::RetryPolicy;
+        use vidi_trace::{read_full, recover_trace, ChannelInfo, Trace, TraceLayout};
 
         let layout = TraceLayout::new(vec![ChannelInfo {
             name: "c".into(),
@@ -488,23 +483,25 @@ mod tests {
             }),
             ..FaultSpec::default()
         });
-        let mut storage = plan.wrap_storage(MemStorage::new());
         let patient = RetryPolicy {
             max_attempts: 4,
             base_backoff: std::time::Duration::ZERO,
-            jitter_seed: None,
         };
-        save_trace_durable(&mut storage, &trace, &patient).unwrap();
-        let rec = load_trace_durable(&mut storage, &patient).unwrap();
-        assert!(rec.is_complete());
+        let stored = trace
+            .write_framed(patient.wrap(plan.wrap_storage(Vec::new())))
+            .unwrap();
+        let image = stored.into_inner().into_inner();
+        let back = read_full(&patient.wrap(plan.wrap_storage(image))).unwrap();
+        assert!(recover_trace(&back).unwrap().is_complete());
 
         // An impatient policy surfaces the typed fault instead of hanging.
-        let mut storage = plan.wrap_storage(MemStorage::new());
         let impatient = RetryPolicy {
             max_attempts: 1,
             base_backoff: std::time::Duration::ZERO,
-            jitter_seed: None,
         };
-        assert!(save_trace_durable(&mut storage, &trace, &impatient).is_err());
+        let err = trace
+            .write_framed(impatient.wrap(plan.wrap_storage(Vec::new())))
+            .unwrap_err();
+        assert!(err.is_transient());
     }
 }

@@ -5,7 +5,13 @@
 //! scripted [`CpuThread`]s issuing MMIO and DMA operations with seeded
 //! timing jitter, a sparse [`HostMemory`] backing CPU DRAM, the
 //! [`HostMemSubordinate`] that services FPGA-initiated (`pcim`) DMA, and
-//! the software runtime's trace file I/O (§4.2).
+//! the software runtime's trace file I/O (§4.2): [`save_trace`] and
+//! [`load_trace`] over the file chunk backends ([`FileChunkSink`],
+//! [`FileChunkSource`]), each operation retried under a [`RetryPolicy`]
+//! (§7). Those backends implement `vidi-trace`'s
+//! [`ChunkSink`](vidi_trace::ChunkSink)/[`ChunkSource`](vidi_trace::ChunkSource),
+//! the one interface through which trace and checkpoint bytes reach
+//! storage.
 //!
 //! During recording these components drive the environment side of the
 //! [`vidi_core::VidiShim`]; during replay they are simply omitted — Vidi's
@@ -18,16 +24,11 @@ mod cpu;
 mod masters;
 mod mem;
 mod runtime;
-mod storage;
 mod subordinate;
 
-pub use chunks::{file_chunk_source, FileChunkSink, FileChunkSource};
+pub use chunks::{file_chunk_source, FileChunkSink, FileChunkSource, RetryPolicy, Retrying};
 pub use cpu::{CpuHandle, CpuResults, CpuThread, HostOp};
 pub use masters::{AxiLiteMaster, AxiMaster, DMA_BURST_BEATS};
 pub use mem::HostMemory;
 pub use runtime::{load_trace, save_trace, RuntimeError};
-pub use storage::{
-    load_trace_durable, save_trace_durable, FileStorage, MemStorage, RetryPolicy, StorageFault,
-    TraceStorage,
-};
 pub use subordinate::HostMemSubordinate;

@@ -7,28 +7,25 @@
 //! (every byte that reaches storage goes through the framed
 //! [`TraceSink`](vidi_trace::TraceSink) — there is no unframed path), and
 //! round-trip back, enabling the record-on-"hardware", replay-later
-//! workflow of the case studies.
+//! workflow of the case studies. Both directions run over the file chunk
+//! backends under [`RetryPolicy::default`].
 
 use std::error::Error;
 use std::fmt;
-use std::fs;
 use std::path::Path;
 
-use vidi_trace::{
-    recover_trace, Trace, TraceError, TraceSink, DEFAULT_CHUNK_WORDS, STORAGE_WORD_BYTES,
-};
+use vidi_trace::{read_full, recover_trace, ChunkIoError, Trace, TraceError, STORAGE_WORD_BYTES};
 
-use crate::chunks::FileChunkSink;
+use crate::chunks::{FileChunkSink, FileChunkSource, RetryPolicy};
 
 /// An error saving or loading a trace file.
 #[derive(Debug)]
 pub enum RuntimeError {
-    /// Filesystem error.
+    /// Filesystem error. A chunk backend failure that outlived its retries
+    /// arrives here too, with the [`ChunkIoError`] as the inner error.
     Io(std::io::Error),
     /// The file is not a valid Vidi trace.
     Format(TraceError),
-    /// A storage backend failed even after retries (durable path).
-    Storage(crate::storage::StorageFault),
 }
 
 impl fmt::Display for RuntimeError {
@@ -36,7 +33,6 @@ impl fmt::Display for RuntimeError {
         match self {
             RuntimeError::Io(e) => write!(f, "trace file I/O error: {e}"),
             RuntimeError::Format(e) => write!(f, "trace file format error: {e}"),
-            RuntimeError::Storage(e) => write!(f, "trace storage error: {e}"),
         }
     }
 }
@@ -46,7 +42,6 @@ impl Error for RuntimeError {
         match self {
             RuntimeError::Io(e) => Some(e),
             RuntimeError::Format(e) => Some(e),
-            RuntimeError::Storage(e) => Some(e),
         }
     }
 }
@@ -57,6 +52,12 @@ impl From<std::io::Error> for RuntimeError {
     }
 }
 
+impl From<ChunkIoError> for RuntimeError {
+    fn from(e: ChunkIoError) -> Self {
+        RuntimeError::Io(std::io::Error::other(e))
+    }
+}
+
 impl From<TraceError> for RuntimeError {
     fn from(e: TraceError) -> Self {
         RuntimeError::Format(e)
@@ -64,44 +65,31 @@ impl From<TraceError> for RuntimeError {
 }
 
 /// Saves a trace to a file, streaming it chunk-by-chunk through the
-/// CRC-framed sink — a thin wrapper over the same encode path the live
-/// recording store uses, so a file written here is byte-identical to one
-/// streamed during recording with the same declared count.
+/// CRC-framed sink — the same encode path the live recording store uses,
+/// so a file written here is byte-identical to one streamed during
+/// recording with the same declared count. Each chunk write is retried
+/// under [`RetryPolicy::default`].
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError::Io`] on filesystem failure.
 pub fn save_trace(path: impl AsRef<Path>, trace: &Trace) -> Result<(), RuntimeError> {
-    let backend = FileChunkSink::create(path)?;
-    let mut sink = TraceSink::with_declared(
-        backend,
-        trace.layout(),
-        trace.records_output_content(),
-        trace.packets().len() as u64,
-        DEFAULT_CHUNK_WORDS,
-    );
-    for packet in trace.packets() {
-        sink.push(packet).map_err(chunk_io)?;
-    }
-    sink.finish().map_err(chunk_io)?;
+    trace.write_framed(RetryPolicy::default().wrap(FileChunkSink::create(path)?))?;
     Ok(())
 }
 
-fn chunk_io(e: vidi_trace::ChunkIoError) -> RuntimeError {
-    RuntimeError::Io(std::io::Error::other(e.to_string()))
-}
-
-/// Loads a trace previously written by [`save_trace`]. Strict: a torn or
-/// corrupted file is a [`RuntimeError::Format`] error here — use
-/// [`load_trace_durable`](crate::load_trace_durable) to recover the
-/// longest certified prefix instead.
+/// Loads a trace previously written by [`save_trace`], retrying transient
+/// read faults under [`RetryPolicy::default`]. Strict: a torn or corrupted
+/// file is a [`RuntimeError::Format`] error here — open the file with a
+/// [`TraceSource`](vidi_trace::TraceSource) to recover the longest
+/// certified prefix instead.
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError::Io`] on filesystem failure or
 /// [`RuntimeError::Format`] if the file is not a complete valid trace.
 pub fn load_trace(path: impl AsRef<Path>) -> Result<Trace, RuntimeError> {
-    let bytes = fs::read(path)?;
+    let bytes = read_full(&RetryPolicy::default().wrap(FileChunkSource::open(path)?))?;
     let rec = recover_trace(&bytes)?;
     if !rec.is_complete() {
         let offset = rec

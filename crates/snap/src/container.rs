@@ -25,7 +25,6 @@
 //! frame recovery's packet counter says how many *complete* checkpoints
 //! survive in a truncated or bit-flipped image.
 
-use vidi_host::{RetryPolicy, TraceStorage};
 use vidi_hwsim::{StateReader, StateWriter};
 use vidi_trace::{
     recover_frames, FrameChecker, FrameWriter, FRAME_PAYLOAD_BYTES, STORAGE_WORD_BYTES,
@@ -334,65 +333,6 @@ pub fn load_checkpoint_at(image: &[u8], entry: &IndexEntry) -> Result<Checkpoint
     Ok(cp)
 }
 
-/// Persists a checkpoint container image through a [`TraceStorage`] backend
-/// under a retry policy, returning the index for separate persistence.
-///
-/// # Errors
-///
-/// [`SnapError::Storage`] when the policy's attempt budget is exhausted.
-pub fn save_checkpoints(
-    storage: &mut dyn TraceStorage,
-    log: &CheckpointLog,
-    policy: &RetryPolicy,
-) -> Result<CheckpointIndex, SnapError> {
-    let (image, index) = log.encode_framed();
-    policy.run(|| storage.write(&image))?;
-    Ok(index)
-}
-
-/// Loads and decodes a checkpoint container from storage.
-///
-/// # Errors
-///
-/// [`SnapError::Storage`] on exhausted retries, [`SnapError::Format`] on a
-/// destroyed header.
-pub fn load_checkpoints(
-    storage: &mut dyn TraceStorage,
-    policy: &RetryPolicy,
-) -> Result<RecoveredCheckpoints, SnapError> {
-    let image = policy.run(|| storage.read())?;
-    CheckpointLog::decode_framed(&image)
-}
-
-/// Persists a checkpoint index image through a [`TraceStorage`] backend.
-///
-/// # Errors
-///
-/// [`SnapError::Storage`] when the policy's attempt budget is exhausted.
-pub fn save_index(
-    storage: &mut dyn TraceStorage,
-    index: &CheckpointIndex,
-    policy: &RetryPolicy,
-) -> Result<(), SnapError> {
-    let image = index.encode_framed();
-    policy.run(|| storage.write(&image))?;
-    Ok(())
-}
-
-/// Loads and decodes a checkpoint index from storage.
-///
-/// # Errors
-///
-/// [`SnapError::Storage`] on exhausted retries, [`SnapError::Format`] on a
-/// destroyed header.
-pub fn load_index(
-    storage: &mut dyn TraceStorage,
-    policy: &RetryPolicy,
-) -> Result<CheckpointIndex, SnapError> {
-    let image = policy.run(|| storage.read())?;
-    CheckpointIndex::decode_framed(&image)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,21 +411,6 @@ mod tests {
                 Err(other) => panic!("unexpected error class: {other}"),
             }
         }
-    }
-
-    #[test]
-    fn storage_roundtrip() {
-        use vidi_host::MemStorage;
-        let log = sample_log();
-        let mut img_store = MemStorage::new();
-        let mut idx_store = MemStorage::new();
-        let policy = RetryPolicy::none();
-        let index = save_checkpoints(&mut img_store, &log, &policy).unwrap();
-        save_index(&mut idx_store, &index, &policy).unwrap();
-        let rec = load_checkpoints(&mut img_store, &policy).unwrap();
-        assert!(rec.complete);
-        assert_eq!(rec.log, log);
-        assert_eq!(load_index(&mut idx_store, &policy).unwrap(), index);
     }
 
     /// Index of a storage word whose payload lies wholly inside checkpoint

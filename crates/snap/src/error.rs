@@ -1,6 +1,5 @@
 //! Typed errors for the checkpoint subsystem.
 
-use vidi_host::StorageFault;
 use vidi_hwsim::{SimError, StateError};
 
 /// Everything that can go wrong while checkpointing, seeking, or verifying.
@@ -8,8 +7,6 @@ use vidi_hwsim::{SimError, StateError};
 pub enum SnapError {
     /// A snapshot blob failed to serialize or restore.
     State(StateError),
-    /// The backing store rejected a checkpoint image read or write.
-    Storage(StorageFault),
     /// The simulator faulted while rolling a segment forward.
     Sim(SimError),
     /// A checkpoint image is structurally invalid (bad magic, unreadable
@@ -29,7 +26,6 @@ impl std::fmt::Display for SnapError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SnapError::State(e) => write!(f, "snapshot state error: {e}"),
-            SnapError::Storage(e) => write!(f, "checkpoint storage error: {e}"),
             SnapError::Sim(e) => write!(f, "simulation error: {e}"),
             SnapError::Format(detail) => write!(f, "checkpoint image malformed: {detail}"),
             SnapError::NoCheckpoint { cycle } => {
@@ -47,12 +43,6 @@ impl std::error::Error for SnapError {}
 impl From<StateError> for SnapError {
     fn from(e: StateError) -> Self {
         SnapError::State(e)
-    }
-}
-
-impl From<StorageFault> for SnapError {
-    fn from(e: StorageFault) -> Self {
-        SnapError::Storage(e)
     }
 }
 

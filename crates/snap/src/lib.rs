@@ -21,7 +21,13 @@
 //! 64-byte storage-word framing as the trace store), with a separate
 //! cycle → offset index so a seek reads one checkpoint's words rather
 //! than the whole image. Damaged images degrade to their longest clean
-//! checkpoint prefix, never a panic.
+//! checkpoint prefix, never a panic. The crate encodes and decodes images
+//! ([`CheckpointLog::encode_framed`], [`CheckpointLog::decode_framed`],
+//! [`CheckpointIndex::encode_framed`], [`CheckpointIndex::decode_framed`])
+//! and leaves storage to the caller: the bytes go to storage through the
+//! same `vidi_trace::ChunkSink`/`ChunkSource` interface as trace bytes
+//! (read back with `vidi_trace::read_full`), wrapped in `vidi-host`'s
+//! retry policy where the medium is flaky.
 
 mod container;
 mod error;
@@ -30,9 +36,8 @@ mod session;
 mod verify;
 
 pub use container::{
-    load_checkpoint_at, load_checkpoints, load_index, save_checkpoints, save_index, Checkpoint,
-    CheckpointIndex, CheckpointLog, IndexEntry, RecoveredCheckpoints, INDEX_MAGIC, SNAP_MAGIC,
-    SNAP_VERSION,
+    load_checkpoint_at, Checkpoint, CheckpointIndex, CheckpointLog, IndexEntry,
+    RecoveredCheckpoints, INDEX_MAGIC, SNAP_MAGIC, SNAP_VERSION,
 };
 pub use error::SnapError;
 pub use runner::{checkpointed_replay, replay_from, CheckpointPolicy, SeekOutcome, FLUSH_MARGIN};

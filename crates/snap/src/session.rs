@@ -1,7 +1,7 @@
 //! A minimal view over "a simulator with a Vidi shim installed", so the
 //! checkpoint runner and segmented verifier work with both the catalog
-//! harness ([`vidi_apps::BuiltApp`]) and the §5.3 echo/ATOP case study
-//! ([`vidi_apps::EchoAtopBuilt`]).
+//! harness (`vidi_apps::BuiltApp`) and the §5.3 echo/ATOP case study
+//! (`vidi_apps::EchoAtopBuilt`).
 //!
 //! Since the session drive loops were unified, this is the same trait the
 //! rest of the stack drives through: [`vidi_core::DriveSession`], re-exported

@@ -91,3 +91,68 @@ proptest! {
         let _ = victim.sim.restore(&blob);
     }
 }
+
+/// Finds the trace sink's open word and sealed-but-unflushed words inside a
+/// recording session's snapshot, and returns the snapshot with the open
+/// word lengthened by one storage word taken from the sealed ones — the
+/// blob keeps its length, so every enclosing length prefix stays valid.
+/// `None` while the sink holds no open word or no sealed word.
+fn with_oversized_open_word(built: &vidi_apps::BuiltApp) -> Option<Vec<u8>> {
+    use vidi_trace::{FRAME_PAYLOAD_BYTES, STORAGE_WORD_BYTES};
+    let blob = built.sim.snapshot();
+    // The stream image ends with the sealed words, then a copy-sealed open
+    // word whose payload is exactly the sink's open word.
+    let image = built.shim.recorded_stream_image()?;
+    let (body, last) = image.split_at(image.len().checked_sub(STORAGE_WORD_BYTES)?);
+    let len = u16::from_le_bytes([last[FRAME_PAYLOAD_BYTES], last[FRAME_PAYLOAD_BYTES + 1]]);
+    let pending = &last[..usize::from(len)];
+    if pending.is_empty() || pending.len() == FRAME_PAYLOAD_BYTES {
+        return None;
+    }
+    // The sink serializes `pending` then `sealed`, each length-prefixed.
+    let mut hits = (0..blob.len()).filter_map(|at| {
+        let rest = &blob[at..];
+        let rest = rest.strip_prefix(&(pending.len() as u32).to_le_bytes()[..])?;
+        let rest = rest.strip_prefix(pending)?;
+        let sealed_len = u32::from_le_bytes(rest.get(..4)?.try_into().ok()?) as usize;
+        let sealed = rest.get(4..4 + sealed_len)?;
+        let whole_words = sealed_len > 0 && sealed_len.is_multiple_of(STORAGE_WORD_BYTES);
+        (whole_words && body.ends_with(sealed)).then_some((at, sealed))
+    });
+    let (at, sealed) = hits.next()?;
+    assert!(hits.next().is_none(), "sink state located ambiguously");
+    let mut region = Vec::new();
+    region.extend_from_slice(&((pending.len() + STORAGE_WORD_BYTES) as u32).to_le_bytes());
+    region.extend_from_slice(pending);
+    region.extend_from_slice(&sealed[..STORAGE_WORD_BYTES]);
+    region.extend_from_slice(&((sealed.len() - STORAGE_WORD_BYTES) as u32).to_le_bytes());
+    region.extend_from_slice(&sealed[STORAGE_WORD_BYTES..]);
+    let mut patched = blob.clone();
+    patched[at..at + region.len()].copy_from_slice(&region);
+    Some(patched)
+}
+
+/// A snapshot whose trace-sink open word holds more than one word's payload
+/// is refused at restore — accepted, the next staged packet would panic.
+#[test]
+fn oversized_open_word_is_refused_at_restore() {
+    let app = AppId::Sha;
+    let mut built = build_app(app.setup(Scale::Test, 9), VidiConfig::record());
+    let patched = (0..200)
+        .find_map(|_| {
+            built.sim.run(25).expect("recording runs");
+            with_oversized_open_word(&built)
+        })
+        .expect("the sink holds an open word and a sealed word at some point");
+    let mut honest = build_app(app.setup(Scale::Test, 9), VidiConfig::record());
+    honest
+        .sim
+        .restore(&built.sim.snapshot())
+        .expect("the unpatched snapshot restores");
+    let mut victim = build_app(app.setup(Scale::Test, 9), VidiConfig::record());
+    let err = victim
+        .sim
+        .restore(&patched)
+        .expect_err("an oversized open word must be refused");
+    assert!(err.to_string().contains("open word"), "{err}");
+}

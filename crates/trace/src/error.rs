@@ -57,6 +57,15 @@ pub enum TraceError {
         /// What failed.
         detail: String,
     },
+    /// [`SinkParts`](crate::SinkParts) handed to
+    /// [`TraceSink::restore_parts`](crate::TraceSink::restore_parts) that
+    /// no sink could have saved (an oversized open word, a ragged sealed
+    /// buffer, an open block that does not parse) — restoring them would
+    /// panic on the next staged packet.
+    BadSinkParts(
+        /// Which invariant failed.
+        String,
+    ),
 }
 
 impl fmt::Display for TraceError {
@@ -93,6 +102,7 @@ impl fmt::Display for TraceError {
             TraceError::BadBlock { offset, detail } => {
                 write!(f, "bad block at payload offset {offset}: {detail}")
             }
+            TraceError::BadSinkParts(detail) => write!(f, "invalid sink state: {detail}"),
         }
     }
 }

@@ -52,8 +52,8 @@ pub use store_format::{
     StorageWord, FRAME_PAYLOAD_BYTES, FRAME_TRAILER_BYTES, STORAGE_WORD_BYTES,
 };
 pub use stream::{
-    recover_trace, ChunkIoError, ChunkSink, ChunkSource, Cycles, RecoveredTrace, SharedChunks,
-    SinkParts, SourcePos, TraceSink, TraceSource, DEFAULT_CHUNK_WORDS,
+    read_full, recover_trace, ChunkIoError, ChunkSink, ChunkSource, Cycles, RecoveredTrace,
+    SharedChunks, SinkParts, SourcePos, TraceSink, TraceSource, DEFAULT_CHUNK_WORDS,
 };
 pub use trace::Trace;
 pub use validate::{compare, Divergence, DivergenceReport};

@@ -61,17 +61,35 @@ pub(crate) const BLOCK_HEADER_BYTES: usize = 13;
 /// against corrupt-but-CRC-clean headers asking for absurd allocations.
 const MAX_BLOCK_RAW_BYTES: usize = 1 << 28;
 
-/// An I/O failure in a chunk backend (message is backend-specific).
+/// An I/O failure in a chunk backend, split by whether retrying can help.
 ///
-/// Backends are expected to absorb transient faults themselves (retry
-/// policies live host-side); an error surfacing here is one the caller must
-/// handle — typically by backing off and retrying the flush.
+/// Retry lives in a wrapper around a backend (`vidi_host::RetryPolicy`):
+/// it retries [`Transient`](ChunkIoError::Transient) failures with backoff
+/// and fails [`Permanent`](ChunkIoError::Permanent) ones at once. An error
+/// surfacing from a [`TraceSink`] is one the caller must handle; the chunk
+/// stays buffered and the flush can be retried.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkIoError(pub String);
+pub enum ChunkIoError {
+    /// The operation may succeed if retried (timeout, interruption,
+    /// momentary back-pressure).
+    Transient(String),
+    /// The operation will not succeed no matter how often it is retried.
+    Permanent(String),
+}
+
+impl ChunkIoError {
+    /// Whether a retry could help.
+    pub fn is_transient(&self) -> bool {
+        matches!(self, ChunkIoError::Transient(_))
+    }
+}
 
 impl fmt::Display for ChunkIoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "chunk I/O error: {}", self.0)
+        match self {
+            ChunkIoError::Transient(m) => write!(f, "transient chunk I/O error: {m}"),
+            ChunkIoError::Permanent(m) => write!(f, "chunk I/O error: {m}"),
+        }
     }
 }
 
@@ -554,7 +572,7 @@ impl<W: ChunkSink> TraceSink<W> {
     }
 
     /// Serializes the sink's framing state (not the backend) for a
-    /// checkpoint. `sink_state` pairs with [`restore_parts`].
+    /// checkpoint. Pairs with [`restore_parts`](TraceSink::restore_parts).
     pub fn save_parts(&self) -> SinkParts {
         SinkParts {
             pending: self.frames.pending.clone(),
@@ -574,7 +592,44 @@ impl<W: ChunkSink> TraceSink<W> {
     }
 
     /// Restores framing state captured by [`TraceSink::save_parts`].
-    pub fn restore_parts(&mut self, parts: SinkParts) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::BadSinkParts`], leaving the sink untouched,
+    /// if `parts` break an invariant every saved sink keeps: the open word
+    /// holds at most [`FRAME_PAYLOAD_BYTES`], the sealed buffer holds whole
+    /// storage words, and an open block parses under this sink's codec.
+    pub fn restore_parts(&mut self, parts: SinkParts) -> Result<(), TraceError> {
+        let bad = |detail: String| Err(TraceError::BadSinkParts(detail));
+        if parts.pending.len() > FRAME_PAYLOAD_BYTES {
+            return bad(format!(
+                "open word holds {} payload bytes, more than {FRAME_PAYLOAD_BYTES}",
+                parts.pending.len()
+            ));
+        }
+        if !parts.sealed.len().is_multiple_of(STORAGE_WORD_BYTES) {
+            return bad(format!(
+                "{} sealed bytes are not whole {STORAGE_WORD_BYTES}-byte words",
+                parts.sealed.len()
+            ));
+        }
+        let open_block = parts.blk_packets > 0 || !parts.blk_raw.is_empty();
+        if open_block
+            && (self.codec == CodecId::Raw
+                || vidi_codec::encode_block(
+                    self.codec,
+                    &self.schema,
+                    &parts.blk_raw,
+                    parts.blk_packets,
+                )
+                .is_err())
+        {
+            return bad(format!(
+                "open block of {} packets does not parse under codec {}",
+                parts.blk_packets,
+                self.codec.name()
+            ));
+        }
         self.frames = FrameWriter {
             pending: parts.pending,
             sealed: parts.sealed,
@@ -590,6 +645,7 @@ impl<W: ChunkSink> TraceSink<W> {
         self.blk_raw = parts.blk_raw;
         self.blk_packets = parts.blk_packets;
         self.savings = parts.savings;
+        Ok(())
     }
 }
 
@@ -733,7 +789,7 @@ impl<R: ChunkSource> TraceSource<R> {
         'scan: while word < total_words as u64 {
             let left = total_bytes - word * STORAGE_WORD_BYTES as u64;
             let want = (buf.len() as u64).min(left) as usize;
-            read_full(&backend, word * STORAGE_WORD_BYTES as u64, &mut buf[..want])
+            read_exact_at(&backend, word * STORAGE_WORD_BYTES as u64, &mut buf[..want])
                 .map_err(io_error)?;
             for chunk in buf[..want].chunks(STORAGE_WORD_BYTES) {
                 let Some(checked) = check.check(chunk) else {
@@ -1066,7 +1122,7 @@ impl<R: ChunkSource> TraceSource<R> {
                     offset: off as usize,
                 });
             }
-            read_full(&self.backend, word * STORAGE_WORD_BYTES as u64, &mut wbuf)
+            read_exact_at(&self.backend, word * STORAGE_WORD_BYTES as u64, &mut wbuf)
                 .map_err(io_error)?;
             let n = (wlen - skip).min(out.len() - done);
             out[done..done + n].copy_from_slice(&wbuf[skip..skip + n]);
@@ -1094,7 +1150,8 @@ impl<R: ChunkSource> TraceSource<R> {
         let skip = (end % FRAME_PAYLOAD_BYTES as u64) as usize;
         let n_words = (self.chunk_words as u64).min(self.certified_words - word) as usize;
         let mut buf = vec![0u8; n_words * STORAGE_WORD_BYTES];
-        read_full(&self.backend, word * STORAGE_WORD_BYTES as u64, &mut buf).map_err(io_error)?;
+        read_exact_at(&self.backend, word * STORAGE_WORD_BYTES as u64, &mut buf)
+            .map_err(io_error)?;
         for (k, w) in buf.chunks(STORAGE_WORD_BYTES).enumerate() {
             let widx = word + k as u64;
             let wlen = if widx == self.certified_words - 1 {
@@ -1185,11 +1242,29 @@ pub fn recover_trace(framed: &[u8]) -> Result<RecoveredTrace, TraceError> {
 }
 
 fn io_error(e: ChunkIoError) -> TraceError {
-    TraceError::Io(e.0)
+    match e {
+        ChunkIoError::Transient(m) | ChunkIoError::Permanent(m) => TraceError::Io(m),
+    }
+}
+
+/// Reads a chunk source's whole image into memory — the one way stored
+/// bytes come back whole (a trace image for [`recover_trace`], a
+/// checkpoint container or index for its decoder).
+///
+/// # Errors
+///
+/// Returns the backend's [`ChunkIoError`], or a permanent one if storage
+/// ends before its reported length.
+pub fn read_full<R: ChunkSource + ?Sized>(backend: &R) -> Result<Vec<u8>, ChunkIoError> {
+    let len = usize::try_from(backend.byte_len()?)
+        .map_err(|_| ChunkIoError::Permanent("stored image exceeds the address space".into()))?;
+    let mut image = vec![0; len];
+    read_exact_at(backend, 0, &mut image)?;
+    Ok(image)
 }
 
 /// Reads exactly `buf.len()` bytes at `offset`, tolerating short reads.
-fn read_full<R: ChunkSource + ?Sized>(
+fn read_exact_at<R: ChunkSource + ?Sized>(
     backend: &R,
     offset: u64,
     buf: &mut [u8],
@@ -1198,7 +1273,7 @@ fn read_full<R: ChunkSource + ?Sized>(
     while done < buf.len() {
         let n = backend.read_at(offset + done as u64, &mut buf[done..])?;
         if n == 0 {
-            return Err(ChunkIoError(format!(
+            return Err(ChunkIoError::Permanent(format!(
                 "storage ended {} bytes short at offset {}",
                 buf.len() - done,
                 offset + done as u64
@@ -1668,7 +1743,7 @@ mod tests {
         }
         let parts = sink.save_parts();
         let mut clone = TraceSink::new(Vec::new(), t.layout(), false, 2);
-        clone.restore_parts(parts.clone());
+        clone.restore_parts(parts.clone()).unwrap();
         assert_eq!(clone.save_parts(), parts);
         assert_eq!(clone.unflushed_tail_image(), sink.unflushed_tail_image());
     }
@@ -1683,9 +1758,48 @@ mod tests {
         let parts = sink.save_parts();
         assert!(!parts.blk_raw.is_empty(), "open block must be captured");
         let mut clone = TraceSink::with_codec(Vec::new(), t.layout(), true, 2, CodecId::XorDict);
-        clone.restore_parts(parts.clone());
+        clone.restore_parts(parts.clone()).unwrap();
         assert_eq!(clone.save_parts(), parts);
         assert_eq!(clone.unflushed_tail_image(), sink.unflushed_tail_image());
+    }
+
+    #[test]
+    fn restore_parts_rejects_what_no_sink_saves() {
+        let t = sample(25, true);
+        let mut sink = TraceSink::with_codec(Vec::new(), t.layout(), true, 2, CodecId::XorDict);
+        for p in &t.packets()[..10] {
+            sink.push(p).unwrap();
+        }
+        let good = sink.save_parts();
+        let oversized = SinkParts {
+            pending: vec![0; FRAME_PAYLOAD_BYTES + 1],
+            ..good.clone()
+        };
+        let ragged = SinkParts {
+            sealed: vec![0; STORAGE_WORD_BYTES + 1],
+            ..good.clone()
+        };
+        let garbled = SinkParts {
+            blk_raw: vec![0xff; 3],
+            ..good.clone()
+        };
+        for bad in [oversized, ragged, garbled] {
+            let mut clone =
+                TraceSink::with_codec(Vec::new(), t.layout(), true, 2, CodecId::XorDict);
+            let before = clone.save_parts();
+            assert!(matches!(
+                clone.restore_parts(bad),
+                Err(TraceError::BadSinkParts(_))
+            ));
+            assert_eq!(
+                clone.save_parts(),
+                before,
+                "a rejected restore changes nothing"
+            );
+        }
+        // A raw sink never holds an open block.
+        let mut raw = TraceSink::new(Vec::new(), t.layout(), true, 2);
+        assert!(raw.restore_parts(good).is_err());
     }
 
     #[test]

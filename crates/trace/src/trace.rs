@@ -153,21 +153,36 @@ impl Trace {
     /// can always [`recover`](crate::recover_trace) the longest valid
     /// packet prefix.
     ///
-    /// This is the whole-trace convenience over the streaming
-    /// [`TraceSink`](crate::TraceSink); both produce identical bytes for
-    /// identical packets.
+    /// This is [`write_framed`](Trace::write_framed) into memory; both
+    /// produce identical bytes for identical packets.
     pub fn encode_framed(&self) -> Vec<u8> {
+        self.write_framed(Vec::new())
+            .expect("Vec chunk sink cannot fail")
+    }
+
+    /// Streams the trace, in the layout of
+    /// [`encode_framed`](Trace::encode_framed), through the streaming
+    /// [`TraceSink`](crate::TraceSink) into `backend`, one
+    /// [`DEFAULT_CHUNK_WORDS`](crate::DEFAULT_CHUNK_WORDS)-word chunk per
+    /// [`put_chunk`](crate::ChunkSink::put_chunk), and returns the backend.
+    /// Every chunk already written stays durable if a later one fails.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ChunkIoError`](crate::ChunkIoError) the backend
+    /// reports.
+    pub fn write_framed<W: crate::ChunkSink>(&self, backend: W) -> Result<W, crate::ChunkIoError> {
         let mut sink = crate::stream::TraceSink::with_declared(
-            Vec::new(),
+            backend,
             &self.layout,
             self.record_output_content,
             self.packets.len() as u64,
             crate::stream::DEFAULT_CHUNK_WORDS,
         );
         for p in &self.packets {
-            sink.push(p).expect("Vec chunk sink cannot fail");
+            sink.push(p)?;
         }
-        sink.finish().expect("Vec chunk sink cannot fail")
+        sink.finish()
     }
 
     /// The trace body size in bytes (cycle packets only, excluding the

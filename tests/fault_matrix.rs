@@ -9,7 +9,7 @@
 //!    intact, replay divergence-free),
 //! 2. **recovered-prefix replay** (corruption cost the trace tail, but the
 //!    reader resynchronized and certified a valid packet prefix), or
-//! 3. **a typed error** (retry budget exhausted → `RuntimeError::Storage`;
+//! 3. **a typed error** (retry budget exhausted → `ChunkIoError::Transient`;
 //!    header destroyed → `TraceError`; progress impossible → watchdog
 //!    `SimError::Timeout` carrying per-component diagnostics).
 //!
@@ -20,11 +20,9 @@
 use vidi_repro::apps::{build_app, build_app_with_faults, run_app, AppId, RunOutcome, Scale};
 use vidi_repro::core::{FaultInjection, SessionCursor, Stop, StopReason, VidiConfig};
 use vidi_repro::faults::{CorruptionSpec, FaultPlan, FaultSpec, StorageFailureSpec, WindowSpec};
-use vidi_repro::host::{
-    load_trace_durable, save_trace_durable, MemStorage, RetryPolicy, RuntimeError,
-};
+use vidi_repro::host::RetryPolicy;
 use vidi_repro::hwsim::SimError;
-use vidi_repro::trace::{compare, Trace};
+use vidi_repro::trace::{compare, read_full, Trace};
 
 const RECORD_BUDGET: u64 = 6_000_000;
 const REPLAY_BUDGET: u64 = 10_000_000;
@@ -113,7 +111,6 @@ fn fault_matrix_soak() {
     let patient = RetryPolicy {
         max_attempts: 4,
         base_backoff: std::time::Duration::ZERO,
-        jitter_seed: None,
     };
 
     for app in APPS {
@@ -141,21 +138,24 @@ fn fault_matrix_soak() {
             // a patient retry policy must always get through (the schedule
             // fails each op fewer times than the attempt budget).
             let host_plan = FaultPlan::new(host_spec(seed));
-            let mut storage = host_plan.wrap_storage(MemStorage::new());
-            save_trace_durable(&mut storage, &reference, &patient)
+            let stored = reference
+                .write_framed(patient.wrap(host_plan.wrap_storage(Vec::new())))
                 .unwrap_or_else(|e| panic!("{cell}: patient save failed: {e}"));
-            let rec = load_trace_durable(&mut storage, &patient)
-                .unwrap_or_else(|e| panic!("{cell}: patient load failed: {e}"));
+            let image =
+                read_full(&patient.wrap(host_plan.wrap_storage(stored.into_inner().into_inner())))
+                    .unwrap_or_else(|e| panic!("{cell}: patient load failed: {e}"));
+            let rec = vidi_repro::trace::recover_trace(&image)
+                .unwrap_or_else(|e| panic!("{cell}: clean image must decode: {e}"));
             assert!(rec.is_complete(), "{cell}: clean image must load complete");
             assert_eq!(rec.trace, reference, "{cell}: durable roundtrip differs");
 
             // An impatient policy on the same schedule must fail *typed*
             // whenever the schedule says the first write op draws a fault.
             if host_plan.host_io_fails(0, 0) {
-                let mut storage = host_plan.wrap_storage(MemStorage::new());
-                match save_trace_durable(&mut storage, &reference, &RetryPolicy::none()) {
-                    Err(RuntimeError::Storage(f)) => assert!(f.is_transient()),
-                    other => panic!("{cell}: expected typed storage fault, got {other:?}"),
+                let storage = RetryPolicy::none().wrap(host_plan.wrap_storage(Vec::new()));
+                match reference.write_framed(storage) {
+                    Err(e) => assert!(e.is_transient(), "{cell}: {e}"),
+                    Ok(_) => panic!("{cell}: expected a typed storage fault"),
                 }
             }
 
@@ -385,16 +385,14 @@ fn quiet_plan_changes_nothing() {
 
 #[test]
 fn killed_replay_resumes_from_last_durable_checkpoint() {
-    use vidi_repro::snap::{
-        checkpointed_replay, load_checkpoints, replay_from, save_checkpoints, CheckpointPolicy,
-    };
+    use vidi_repro::snap::{checkpointed_replay, replay_from, CheckpointLog, CheckpointPolicy};
+    use vidi_repro::trace::ChunkSink;
 
     let seed = 7u64;
     let app = AppId::Sha;
     let patient = RetryPolicy {
         max_attempts: 4,
         base_backoff: std::time::Duration::ZERO,
-        jitter_seed: None,
     };
 
     // Unfaulted baseline: record, then replay to completion with
@@ -438,17 +436,20 @@ fn killed_replay_resumes_from_last_durable_checkpoint() {
         }),
         ..FaultSpec::default()
     });
-    let mut storage = host_plan.wrap_storage(MemStorage::new());
-    save_checkpoints(&mut storage, &killed_log, &patient)
+    let (image, _index) = killed_log.encode_framed();
+    let mut storage = patient.wrap(host_plan.wrap_storage(Vec::new()));
+    storage
+        .put_chunk(0, &image)
         .expect("patient save survives transient faults");
-    let mut at_rest = storage.into_inner();
-    host_plan.corrupt(at_rest.image_mut().expect("an image was written"));
-    let mut storage = host_plan.wrap_storage(at_rest);
+    let mut at_rest = storage.into_inner().into_inner();
+    host_plan.corrupt(&mut at_rest);
+    let storage = patient.wrap(host_plan.wrap_storage(at_rest));
 
     // Recovery: the loader certifies a clean checkpoint prefix; the run
     // resumes from the last durable checkpoint and completes with a trace
     // identical to the unfaulted run's.
-    let recovered = load_checkpoints(&mut storage, &patient).expect("recover checkpoint prefix");
+    let image = read_full(&storage).expect("patient load survives transient faults");
+    let recovered = CheckpointLog::decode_framed(&image).expect("recover checkpoint prefix");
     let last = recovered
         .log
         .checkpoints
