@@ -165,10 +165,15 @@ impl Kernel for BatchComputeKernel {
         self.remaining_cost = r.u64()?;
         self.output = r.seq(StateReader::bits)?;
         self.emit_idx = r.usize()?;
-        if self.emit_idx > self.output.len() {
+        if self.emit_idx > self.output.len()
+            || (self.state == State::Emitting && self.emit_idx == self.output.len())
+        {
             return Err(StateError::Mismatch {
-                expected: format!("emit index <= {} buffered beats", self.output.len()),
-                found: format!("{}", self.emit_idx),
+                expected: format!(
+                    "emit index < {} buffered beats while emitting (<= otherwise)",
+                    self.output.len()
+                ),
+                found: format!("{} in state {:?}", self.emit_idx, self.state),
             });
         }
         Ok(())
@@ -227,5 +232,28 @@ mod tests {
         }
         assert!(produced);
         assert!(k.done());
+    }
+
+    #[test]
+    fn restore_refuses_emitting_past_the_last_beat() {
+        let mut k = xor_kernel();
+        k.start(&[64, 0xff, 0, 0]);
+        k.consume(0, Bits::from_bytes(&[0x0fu8; 64]));
+        while !k.done() {
+            k.step();
+        }
+        let mut w = StateWriter::new();
+        k.save_state(&mut w);
+        let mut blob = w.into_bytes();
+        k.load_state(&mut StateReader::new(&blob))
+            .expect("a saved state restores");
+        // Done with every beat emitted, relabelled Emitting: accepted, the
+        // next step would index one past the output.
+        assert_eq!(blob[0], 4, "state discriminant leads the blob");
+        blob[0] = 3;
+        let err = xor_kernel()
+            .load_state(&mut StateReader::new(&blob))
+            .expect_err("emitting with nothing left to emit must be refused");
+        assert!(err.to_string().contains("emit index"), "{err}");
     }
 }

@@ -16,7 +16,6 @@ use vidi_trace::{CyclePacket, SharedChunks, SourcePos, TraceLayout, TraceSource}
 
 use crate::faults::BandwidthHook;
 use crate::replayer::{ReplayElem, ReplayerCore};
-use crate::store::packet_bytes;
 
 /// The decoder's registered core, embedded in the Vidi engine.
 pub struct DecoderCore {
@@ -185,7 +184,7 @@ impl DecoderCore {
                 break;
             }
             let Some(packet) = &self.pending else { break };
-            let size = packet_bytes(&self.layout, packet);
+            let size = self.source.wire_len(packet);
             if self.credit < size {
                 break;
             }

@@ -69,5 +69,5 @@ pub use port::EncoderPort;
 pub use replay_input::ReplayInput;
 pub use replayer::{ReplayElem, ReplayerCore};
 pub use shim::{ReplayProgress, ShimError, VidiShim};
-pub use store::{packet_bytes, RecordHandle, RecordedRun};
+pub use store::{RecordHandle, RecordedRun};
 pub use vclock::VectorClock;

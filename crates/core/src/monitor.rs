@@ -343,8 +343,61 @@ impl Component for ChannelMonitor {
                 })
             }
         };
+        // Only inputs latch content (`Active`); only outputs hold an
+        // exposed transaction (`Exposed`).
+        let misplaced = match (&self.state, self.direction) {
+            (State::Exposed, Direction::Input) => Some("Exposed"),
+            (State::Active(_), Direction::Output) => Some("Active"),
+            _ => None,
+        };
+        if let Some(state) = misplaced {
+            return Err(StateError::Mismatch {
+                expected: format!("a state an {:?} monitor can hold", self.direction),
+                found: state.into(),
+            });
+        }
         self.transactions = r.u64()?;
         self.state_changed_in_tick = r.bool()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn monitor(direction: Direction) -> ChannelMonitor {
+        let mut pool = SignalPool::new();
+        let env = Channel::new(&mut pool, "env.c", 8);
+        let app = Channel::new(&mut pool, "c", 8);
+        let port = EncoderPort::new(&mut pool, "c", 8);
+        ChannelMonitor::new(direction, env, app, port, MonitorMode::Record, false)
+    }
+
+    /// A saved monitor state with the given discriminant (and, for
+    /// `Active`, latched content).
+    fn state(discriminant: u8) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.u8(discriminant);
+        if discriminant == 1 {
+            w.bits(&Bits::from_u64(8, 0x5a));
+        }
+        w.u64(0);
+        w.bool(false);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_refuses_a_state_the_direction_cannot_hold() {
+        const ACTIVE: u8 = 1;
+        const EXPOSED: u8 = 2;
+        let restore = |direction, discriminant| {
+            monitor(direction).load_state(&mut StateReader::new(&state(discriminant)))
+        };
+        // Accepted, each would reach `unreachable!` on the next eval or tick.
+        assert!(restore(Direction::Input, EXPOSED).is_err());
+        assert!(restore(Direction::Output, ACTIVE).is_err());
+        assert!(restore(Direction::Input, ACTIVE).is_ok());
+        assert!(restore(Direction::Output, EXPOSED).is_ok());
     }
 }

@@ -187,18 +187,6 @@ impl std::fmt::Debug for RecordedRun {
 /// Shared handle through which the harness reads a recording's results.
 pub type RecordHandle = Rc<RefCell<RecordedRun>>;
 
-/// Size in bytes of one cycle packet in the storage encoding.
-pub fn packet_bytes(layout: &TraceLayout, packet: &CyclePacket) -> u64 {
-    let n_inputs = layout.input_indices().count();
-    let fixed = (n_inputs.div_ceil(8) + layout.len().div_ceil(8)) as u64;
-    let contents: u64 = packet
-        .contents
-        .iter()
-        .map(|c| c.width().div_ceil(8) as u64)
-        .sum();
-    fixed + contents
-}
-
 /// Backoff before the first storage-write retry, in cycles; doubles per
 /// consecutive failure up to [`RETRY_BACKOFF_CAP`].
 const RETRY_BACKOFF_BASE: u64 = 4;
@@ -357,7 +345,14 @@ impl StoreCore {
 
     /// Restores state written by [`StoreCore::save_state`].
     pub(crate) fn load_state(&mut self, r: &mut StateReader) -> Result<(), StateError> {
-        self.credit = r.u64()?;
+        let credit = r.u64()?;
+        if credit > self.credit_cap {
+            return Err(StateError::Mismatch {
+                expected: format!("bandwidth credit <= cap {}", self.credit_cap),
+                found: format!("{credit}"),
+            });
+        }
+        self.credit = credit;
         self.cycle = r.u64()?;
         self.ops = r.u64()?;
         self.attempt = r.u32()?;
@@ -453,6 +448,7 @@ impl StoreCore {
     /// of stalling the application. Returns whether the edge mutated
     /// anything beyond the cycle counter and credit accrual.
     pub fn tick(&mut self, encoder: &mut EncoderCore) -> bool {
+        let wire_len = |p: &CyclePacket| self.handle.borrow().sink.wire_len(p);
         let mut active = false;
         let cycle = self.cycle;
         self.cycle += 1;
@@ -511,7 +507,7 @@ impl StoreCore {
         // stops and back-pressure propagates to the application, exactly as
         // the lossless contract requires.
         if !flush_blocked {
-            while let Some(size) = encoder.front().map(|f| packet_bytes(&self.layout, f)) {
+            while let Some(size) = encoder.front().map(wire_len) {
                 if self.credit < size {
                     break;
                 }
@@ -542,7 +538,7 @@ impl StoreCore {
         // silent.
         if let Some(budget) = self.stall_budget {
             if encoder.backpressure_cycles() > budget {
-                while let Some(size) = encoder.front().map(|f| packet_bytes(&self.layout, f)) {
+                while let Some(size) = encoder.front().map(wire_len) {
                     if !flush_blocked && self.retry_backoff == 0 && self.credit >= size {
                         break; // affordable; the normal path will write it
                     }
@@ -568,5 +564,35 @@ impl std::fmt::Debug for StoreCore {
             .field("retry_backoff", &self.retry_backoff)
             .field("stall_budget", &self.stall_budget)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vidi_chan::Direction;
+    use vidi_trace::{ChannelInfo, CodecId};
+
+    #[test]
+    fn restore_refuses_credit_over_the_cap() {
+        let layout = Arc::new(TraceLayout::new(vec![ChannelInfo {
+            name: "in".into(),
+            width: 8,
+            direction: Direction::Input,
+        }]));
+        let (mut store, _) = StoreCore::new(layout, false, 64, 4, CodecId::Raw);
+        let mut w = StateWriter::new();
+        store.save_state(&mut w);
+        let mut blob = w.into_bytes();
+        store
+            .load_state(&mut StateReader::new(&blob))
+            .expect("a saved state restores");
+        // The credit is the blob's first field; one byte over the cap would
+        // underflow the next tick's headroom `credit_cap - credit`.
+        blob[..8].copy_from_slice(&(store.credit_cap + 1).to_le_bytes());
+        let err = store
+            .load_state(&mut StateReader::new(&blob))
+            .expect_err("credit over the cap must be refused");
+        assert!(err.to_string().contains("credit"), "{err}");
     }
 }

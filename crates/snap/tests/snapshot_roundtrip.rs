@@ -67,7 +67,9 @@ proptest! {
     }
 
     /// Bit-flipped snapshot bytes: either a typed error or a clean restore
-    /// (flips confined to value payloads still parse) — never a panic.
+    /// (flips confined to value payloads still parse) — never a panic, at
+    /// restore or in the cycles after it: a restore must refuse any state
+    /// the design cannot run from.
     #[test]
     fn corrupted_snapshot_never_panics(
         app_idx in 0usize..AppId::ALL.len(),
@@ -88,7 +90,11 @@ proptest! {
             blob[pos / 8] ^= 1 << (pos % 8);
         }
         let mut victim = build_app(app.setup(Scale::Test, seed), VidiConfig::record());
-        let _ = victim.sim.restore(&blob);
+        if victim.sim.restore(&blob).is_ok() {
+            // A damaged but accepted state may stall or time out; it must
+            // not panic.
+            let _ = victim.sim.run(64);
+        }
     }
 }
 

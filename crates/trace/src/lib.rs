@@ -32,16 +32,19 @@
 
 #![forbid(unsafe_code)]
 
+mod codec;
 mod error;
 mod layout;
 mod mutate;
 mod packet;
+mod shape;
 mod stats;
 mod store_format;
 mod stream;
 mod trace;
 mod validate;
 
+pub use codec::CodecId;
 pub use error::TraceError;
 pub use layout::{ChannelInfo, TraceLayout};
 pub use mutate::{reorder_end_before, EndEventRef, MutateError};
@@ -57,4 +60,3 @@ pub use stream::{
 };
 pub use trace::Trace;
 pub use validate::{compare, Divergence, DivergenceReport};
-pub use vidi_codec::{CodecError, CodecId, PacketSchema};

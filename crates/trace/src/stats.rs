@@ -86,11 +86,12 @@ impl Trace {
                 }
             }
         }
+        let body_bytes = self.body_bytes();
         TraceStats {
             packets: self.packets().len() as u64,
             transactions: channels.iter().map(|c| c.transactions).sum(),
-            body_bytes: self.body_bytes(),
-            storage_bytes: crate::store_format::storage_bytes(self.body_bytes()),
+            body_bytes,
+            storage_bytes: crate::store_format::storage_bytes(body_bytes),
             channels,
         }
     }

@@ -13,11 +13,12 @@
 //!
 //! # Block codecs
 //!
-//! A sink opened with [`TraceSink::with_codec`] compresses packets through a
-//! [`vidi_codec`] block codec *under* the CRC framing: packets accumulate
-//! into a raw block about one chunk of payload long, the block is encoded,
-//! and the encoded bytes are framed like any other payload behind a 13-byte
-//! block header (`codec, n_packets, raw_len, enc_len`, all little-endian).
+//! A sink opened with [`TraceSink::with_codec`] compresses packets through
+//! the crate's block codec (the `codec` module) *under* the CRC framing:
+//! packets accumulate into a raw block about one chunk of payload long, the
+//! block is encoded, and the encoded bytes are framed like any other payload
+//! behind a 13-byte block header (`codec, n_packets, raw_len, enc_len`, all
+//! little-endian).
 //! A block that fails to shrink is stored raw (header codec byte 0), so a
 //! compressed stream is never pathologically larger than raw plus the block
 //! headers. The negotiated codec rides in the stream header (format
@@ -36,15 +37,13 @@
 use std::fmt;
 use std::sync::Arc;
 
-use vidi_codec::{CodecId, PacketSchema};
-
+use crate::codec::{self, CodecId};
 use crate::error::TraceError;
 use crate::layout::TraceLayout;
 use crate::packet::CyclePacket;
+use crate::shape::{encode_packet_into, PacketShape};
 use crate::store_format::{FrameChecker, FrameWriter, FRAME_PAYLOAD_BYTES, STORAGE_WORD_BYTES};
-use crate::trace::{
-    decode_header, decode_packet, encode_header_into, encode_packet_into, Cursor, Trace,
-};
+use crate::trace::{decode_header, encode_header_into, Cursor, Trace};
 
 /// Default chunk size in 64-byte storage words (4 KiB chunks).
 pub const DEFAULT_CHUNK_WORDS: usize = 64;
@@ -194,29 +193,13 @@ impl<T: ChunkSource + ?Sized> ChunkSource for Arc<T> {
 /// behind independent [`TraceSource`]s.
 pub type SharedChunks = Arc<dyn ChunkSource + Send + Sync>;
 
-/// Derives the codec-facing packet shape from a trace layout: per-channel
-/// content width in bytes and direction, plus the output-content flag.
-pub(crate) fn schema_of(layout: &TraceLayout, record_output_content: bool) -> PacketSchema {
-    let channels: Vec<(usize, bool)> = layout
-        .channels()
-        .iter()
-        .map(|ch| {
-            (
-                (ch.width as usize).div_ceil(8),
-                ch.direction == vidi_chan::Direction::Input,
-            )
-        })
-        .collect();
-    PacketSchema::new(&channels, record_output_content)
-}
-
 /// Encodes one raw packet block into its framed wire form: the 13-byte block
 /// header plus the encoded payload. Falls back to storing the block raw
 /// (header codec byte 0) when the codec fails to shrink it, so compression
 /// never expands the stream beyond the per-block header overhead.
-fn block_wire_bytes(codec: CodecId, schema: &PacketSchema, raw: &[u8], n_packets: u32) -> Vec<u8> {
-    let enc = vidi_codec::encode_block(codec, schema, raw, n_packets)
-        .expect("sink-staged packets always parse under the sink's own schema");
+fn block_wire_bytes(codec: CodecId, shape: &PacketShape, raw: &[u8], n_packets: u32) -> Vec<u8> {
+    let enc = codec::encode_block(shape, raw, n_packets)
+        .expect("sink-staged packets always parse under the sink's own shape");
     let (wire_codec, payload) = if enc.len() < raw.len() {
         (codec as u8, enc)
     } else {
@@ -250,7 +233,7 @@ pub struct TraceSink<W: ChunkSink> {
     backend: W,
     chunk_bytes: usize,
     codec: CodecId,
-    schema: PacketSchema,
+    shape: PacketShape,
     /// Raw packet bytes of the open (not yet encoded) block.
     blk_raw: Vec<u8>,
     /// Packets in the open block.
@@ -343,7 +326,7 @@ impl<W: ChunkSink> TraceSink<W> {
             backend,
             chunk_bytes,
             codec,
-            schema: schema_of(layout, record_output_content),
+            shape: PacketShape::new(layout, record_output_content),
             blk_raw: Vec::new(),
             blk_packets: 0,
             blk_target: (chunk_bytes / STORAGE_WORD_BYTES) * FRAME_PAYLOAD_BYTES,
@@ -383,7 +366,7 @@ impl<W: ChunkSink> TraceSink<W> {
         let raw = std::mem::take(&mut self.blk_raw);
         let n = self.blk_packets;
         self.blk_packets = 0;
-        let wire = block_wire_bytes(self.codec, &self.schema, &raw, n);
+        let wire = block_wire_bytes(self.codec, &self.shape, &raw, n);
         self.savings += (raw.len() as u64).saturating_sub(wire.len() as u64);
         self.push_bytes(&wire);
         self.frames.mark_packets(n);
@@ -504,7 +487,7 @@ impl<W: ChunkSink> TraceSink<W> {
         if self.blk_packets > 0 {
             tail.push_bytes(&block_wire_bytes(
                 self.codec,
-                &self.schema,
+                &self.shape,
                 &self.blk_raw,
                 self.blk_packets,
             ));
@@ -545,6 +528,12 @@ impl<W: ChunkSink> TraceSink<W> {
     /// The block codec this sink encodes with.
     pub fn codec(&self) -> CodecId {
         self.codec
+    }
+
+    /// Bytes `packet` occupies in this stream's raw packet encoding — what
+    /// [`stage`](TraceSink::stage) adds to the trace body.
+    pub fn wire_len(&self, packet: &CyclePacket) -> u64 {
+        self.shape.wire_len(packet)
     }
 
     /// Raw-minus-wire bytes saved by compression since the last call, then
@@ -616,13 +605,10 @@ impl<W: ChunkSink> TraceSink<W> {
         let open_block = parts.blk_packets > 0 || !parts.blk_raw.is_empty();
         if open_block
             && (self.codec == CodecId::Raw
-                || vidi_codec::encode_block(
-                    self.codec,
-                    &self.schema,
-                    &parts.blk_raw,
-                    parts.blk_packets,
-                )
-                .is_err())
+                || self
+                    .shape
+                    .walk(&parts.blk_raw, parts.blk_packets, |_| {})
+                    .is_err())
         {
             return bad(format!(
                 "open block of {} packets does not parse under codec {}",
@@ -724,7 +710,7 @@ pub struct TraceSource<R: ChunkSource> {
     layout: TraceLayout,
     record_output_content: bool,
     codec: CodecId,
-    schema: PacketSchema,
+    shape: PacketShape,
     header_sentinel: bool,
     header_len: u64,
     declared_packets: u64,
@@ -822,7 +808,7 @@ impl<R: ChunkSource> TraceSource<R> {
         };
         let codec = CodecId::from_u8(codec_byte)
             .ok_or(TraceError::UnsupportedCodec { codec: codec_byte })?;
-        let schema = schema_of(&layout, record_output_content);
+        let shape = PacketShape::new(&layout, record_output_content);
         let header_sentinel = count == STREAMING_PACKET_COUNT;
         let declared_packets = if header_sentinel {
             u64::from(trailer_packets)
@@ -836,7 +822,7 @@ impl<R: ChunkSource> TraceSource<R> {
             layout,
             record_output_content,
             codec,
-            schema,
+            shape,
             header_sentinel,
             header_len,
             declared_packets,
@@ -871,6 +857,12 @@ impl<R: ChunkSource> TraceSource<R> {
     /// The block codec negotiated in the stream header.
     pub fn codec(&self) -> CodecId {
         self.codec
+    }
+
+    /// Bytes `packet` occupies in this stream's raw packet encoding — the
+    /// replay fetch cost of a decoded packet.
+    pub fn wire_len(&self, packet: &CyclePacket) -> u64 {
+        self.shape.wire_len(packet)
     }
 
     /// Whether the header carried the streaming sentinel count (a live
@@ -1000,26 +992,16 @@ impl<R: ChunkSource> TraceSource<R> {
             return self.next_packet_block().map(Some);
         }
         loop {
-            let attempt = {
-                let rel = (self.pos - self.win_start) as usize;
-                let mut cur = Cursor::new(&self.win[rel..]);
-                decode_packet(&mut cur, &self.layout, self.record_output_content)
-                    .map(|p| (p, cur.pos() as u64))
-            };
-            match attempt {
-                Ok((p, consumed)) => {
-                    self.pos += consumed;
-                    self.packets_read += 1;
-                    return Ok(Some(p));
-                }
-                Err(TraceError::Truncated { .. }) => {
-                    if !self.refill()? {
-                        return Err(TraceError::Truncated {
-                            offset: self.pos as usize,
-                        });
-                    }
-                }
-                Err(e) => return Err(e),
+            let rel = (self.pos - self.win_start) as usize;
+            if let Some(view) = self.shape.parse(&self.win[rel..]) {
+                self.pos += view.len() as u64;
+                self.packets_read += 1;
+                return Ok(Some(view.to_packet(&self.layout)));
+            }
+            if !self.refill()? {
+                return Err(TraceError::Truncated {
+                    offset: self.pos as usize,
+                });
             }
         }
     }
@@ -1030,16 +1012,19 @@ impl<R: ChunkSource> TraceSource<R> {
         if self.blk_n == 0 || self.packets_read >= self.blk_base + u64::from(self.blk_n) {
             self.load_block()?;
         }
-        let mut cur = Cursor::new(&self.blk[self.blk_pos..]);
-        let p = decode_packet(&mut cur, &self.layout, self.record_output_content).map_err(|e| {
-            TraceError::BadBlock {
-                offset: self.blk_start,
-                detail: format!("decoded block does not parse as packets: {e}"),
-            }
-        })?;
-        self.blk_pos += cur.pos();
+        let view =
+            self.shape
+                .parse(&self.blk[self.blk_pos..])
+                .ok_or_else(|| TraceError::BadBlock {
+                    offset: self.blk_start,
+                    detail: format!(
+                        "decoded block does not parse as packets: truncated at block byte {}",
+                        self.blk_pos
+                    ),
+                })?;
+        self.blk_pos += view.len();
         self.packets_read += 1;
-        Ok(p)
+        Ok(view.to_packet(&self.layout))
     }
 
     /// Reads and decodes the block whose header sits at `blk_next`.
@@ -1064,7 +1049,7 @@ impl<R: ChunkSource> TraceSource<R> {
         if raw_len > MAX_BLOCK_RAW_BYTES {
             return Err(bad(format!("block claims {raw_len} raw bytes")));
         }
-        let fixed = self.schema.fixed_bytes();
+        let fixed = self.shape.fixed_bytes;
         if fixed > 0 && u64::from(n).saturating_mul(fixed as u64) > raw_len as u64 {
             return Err(bad(format!(
                 "{n} packets cannot fit in {raw_len} raw bytes"
@@ -1075,16 +1060,12 @@ impl<R: ChunkSource> TraceSource<R> {
         }
         let mut enc = vec![0u8; enc_len];
         self.read_payload(off + BLOCK_HEADER_BYTES as u64, &mut enc)?;
-        let raw = if wire_byte == CodecId::Raw as u8 {
-            if enc_len != raw_len {
-                return Err(bad("stored block length mismatch".into()));
-            }
-            enc
-        } else {
-            let wire_codec = CodecId::from_u8(wire_byte)
-                .ok_or_else(|| bad(format!("unknown block codec {wire_byte}")))?;
-            vidi_codec::decode_block(wire_codec, &self.schema, &enc, n, raw_len)
-                .map_err(|e| bad(e.to_string()))?
+        let raw = match CodecId::from_u8(wire_byte) {
+            Some(CodecId::Raw) if enc_len == raw_len => enc,
+            Some(CodecId::Raw) => return Err(bad("stored block length mismatch".into())),
+            Some(CodecId::XorDict) => codec::decode_block(&self.shape, &enc, n, raw_len)
+                .map_err(|e| bad(e.to_string()))?,
+            None => return Err(bad(format!("unknown block codec {wire_byte}"))),
         };
         self.blk = raw;
         self.blk_pos = 0;
@@ -1815,6 +1796,35 @@ mod tests {
             let bytes = sink.finish().unwrap();
             assert_eq!(written, bytes.len() as u64, "codec {codec}");
         }
+    }
+
+    #[test]
+    fn stored_raw_block_must_hold_its_raw_length() {
+        // A CRC-clean compressed stream of one stored-raw block whose header
+        // claims `raw_len` raw bytes.
+        let t = sample(1, false);
+        let mut raw = Vec::new();
+        encode_packet_into(&mut raw, &t.packets()[0]);
+        let image = |raw_len: usize| {
+            let mut frames = FrameWriter::new();
+            let mut header = Vec::new();
+            encode_header_into(&mut header, t.layout(), false, 1, CodecId::XorDict);
+            frames.push_bytes(&header);
+            frames.push_bytes(&[CodecId::Raw as u8]);
+            frames.push_bytes(&1u32.to_le_bytes());
+            frames.push_bytes(&(raw_len as u32).to_le_bytes());
+            frames.push_bytes(&(raw.len() as u32).to_le_bytes());
+            frames.push_bytes(&raw);
+            frames.mark_packets(1);
+            frames.finish()
+        };
+        let first = |raw_len| TraceSource::open(image(raw_len), 2).unwrap().next_packet();
+        assert_eq!(first(raw.len()).unwrap().as_ref(), Some(&t.packets()[0]));
+        let err = first(raw.len() + 1).unwrap_err();
+        assert!(
+            matches!(&err, TraceError::BadBlock { detail, .. } if detail.contains("stored block length mismatch")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,23 +1,25 @@
-//! The trace container, the cycle-packet wire format in both directions,
+//! The trace container, the self-description header in both directions,
 //! and size accounting.
 //!
-//! [`encode_header_into`]/[`encode_packet_into`] and
-//! [`decode_header`]/[`decode_packet`] are the one packet codec; the
-//! streaming [`TraceSink`](crate::TraceSink) and
-//! [`TraceSource`](crate::TraceSource) frame those bytes into storage words.
+//! [`encode_header_into`]/[`decode_header`] are the one header codec and
+//! [`shape`](crate::shape) owns the packet wire layout; the streaming
+//! [`TraceSink`](crate::TraceSink) and [`TraceSource`](crate::TraceSource)
+//! frame those bytes into storage words.
 
 use vidi_chan::Direction;
 use vidi_hwsim::Bits;
 
+use crate::codec::CodecId;
 use crate::error::TraceError;
 use crate::layout::{ChannelInfo, TraceLayout};
 use crate::packet::CyclePacket;
+use crate::shape::{encode_packet_into, PacketShape};
 
 const MAGIC: &[u8; 4] = b"VIDI";
 const VERSION: u16 = 1;
 /// Header version that carries a block-codec id byte after the
 /// output-content flag. Version-1 headers are byte-identical to the
-/// pre-codec format and imply [`vidi_codec::CodecId::Raw`].
+/// pre-codec format and imply [`CodecId::Raw`].
 const VERSION_CODEC: u16 = 2;
 
 /// A complete recorded execution trace: the channel layout plus the sequence
@@ -142,7 +144,7 @@ impl Trace {
             &self.layout,
             self.record_output_content,
             self.packets.len() as u64,
-            vidi_codec::CodecId::Raw,
+            CodecId::Raw,
         );
         out
     }
@@ -189,16 +191,8 @@ impl Trace {
     /// self-description header) — the quantity reported in Table 1's
     /// "TS" column.
     pub fn body_bytes(&self) -> u64 {
-        let n_inputs = self.layout.input_indices().count();
-        let per_packet_fixed = (n_inputs.div_ceil(8) + self.layout.len().div_ceil(8)) as u64;
-        let mut total = 0u64;
-        for p in &self.packets {
-            total += per_packet_fixed;
-            for c in &p.contents {
-                total += c.width().div_ceil(8) as u64;
-            }
-        }
-        total
+        let shape = PacketShape::new(&self.layout, self.record_output_content);
+        self.packets.iter().map(|p| shape.wire_len(p)).sum()
     }
 
     /// What a cycle-accurate recorder would store for `cycles` cycles of
@@ -206,16 +200,6 @@ impl Trace {
     /// every cycle.
     pub fn cycle_accurate_bytes(&self, cycles: u64) -> u64 {
         (self.layout.cycle_accurate_bits_per_cycle() * cycles).div_ceil(8)
-    }
-}
-
-/// Serializes one cycle packet — the single packet-encode path shared by
-/// [`Trace::encode`] and the streaming [`TraceSink`](crate::TraceSink).
-pub(crate) fn encode_packet_into(out: &mut Vec<u8>, p: &CyclePacket) {
-    write_bitvec(out, &p.starts);
-    write_bitvec(out, &p.ends);
-    for c in &p.contents {
-        out.extend_from_slice(&c.to_bytes());
     }
 }
 
@@ -231,10 +215,10 @@ pub(crate) fn encode_header_into(
     layout: &TraceLayout,
     record_output_content: bool,
     count: u64,
-    codec: vidi_codec::CodecId,
+    codec: CodecId,
 ) {
     out.extend_from_slice(MAGIC);
-    if codec == vidi_codec::CodecId::Raw {
+    if codec == CodecId::Raw {
         write_u16(out, VERSION);
         out.push(record_output_content as u8);
     } else {
@@ -303,42 +287,7 @@ pub(crate) fn decode_header(
     ))
 }
 
-/// Decodes one self-delimiting cycle packet at the cursor.
-pub(crate) fn decode_packet(
-    r: &mut Cursor<'_>,
-    layout: &TraceLayout,
-    record_output_content: bool,
-) -> Result<CyclePacket, TraceError> {
-    let n_inputs = layout.input_indices().count();
-    let starts = r.bitvec(n_inputs)?;
-    let ends = r.bitvec(layout.len())?;
-    let mut contents = Vec::new();
-    // Input-start contents, in channel order.
-    let mut input_pos = 0;
-    for ch in layout.channels() {
-        if ch.direction == Direction::Input {
-            if starts[input_pos] {
-                contents.push(r.bits(ch.width)?);
-            }
-            input_pos += 1;
-        }
-    }
-    // Output-end contents, when enabled.
-    if record_output_content {
-        for (idx, ch) in layout.channels().iter().enumerate() {
-            if ch.direction == Direction::Output && ends[idx] {
-                contents.push(r.bits(ch.width)?);
-            }
-        }
-    }
-    Ok(CyclePacket {
-        starts,
-        ends,
-        contents,
-    })
-}
-
-/// A read cursor over packet-format bytes.
+/// A read cursor over header bytes.
 pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -377,14 +326,6 @@ impl<'a> Cursor<'a> {
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
-    fn bitvec(&mut self, n: usize) -> Result<Vec<bool>, TraceError> {
-        let bytes = self.take(n.div_ceil(8))?;
-        Ok((0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
-    }
-    fn bits(&mut self, width: u32) -> Result<Bits, TraceError> {
-        let bytes = self.take(width.div_ceil(8) as usize)?;
-        Ok(Bits::from_bytes(bytes).resize(width))
-    }
 }
 
 fn write_u16(out: &mut Vec<u8>, v: u16) {
@@ -395,21 +336,6 @@ fn write_u32(out: &mut Vec<u8>, v: u32) {
 }
 fn write_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-fn write_bitvec(out: &mut Vec<u8>, bits: &[bool]) {
-    let mut byte = 0u8;
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            out.push(byte);
-            byte = 0;
-        }
-    }
-    if !bits.len().is_multiple_of(8) {
-        out.push(byte);
-    }
 }
 
 #[cfg(test)]

@@ -21,6 +21,16 @@ echo "── release build + workspace tests (unit + integration + soak) ─"
 cargo build --release
 cargo test -q --workspace
 
+echo "── benchmark build: vidi_perf from its own manifest ───────────"
+# BENCHMARK.json builds vidi_perf from its standalone manifest, which the
+# workspace build never resolves (it compiles the same sources as a
+# vidi-bench binary). Adding, renaming or deleting a workspace crate can
+# break only the standalone build, so build it the way the benchmark does.
+# `.bench_build/` and the regenerated lockfile beside the manifest are
+# git-ignored.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
+    --manifest-path crates/bench/src/bin/vidi_perf/Cargo.toml
+
 echo "── streaming soak: bounded-memory record + kill-recovery gate ──"
 # Streams a recording to disk until the framed trace spans several chunk
 # windows (asserting peak buffered bytes stay under the streaming bound),
