@@ -297,6 +297,7 @@ mod tests {
             obj([
                 ("app", Json::Str(app.into())),
                 ("evals_per_cycle_compiled", Json::Num(evals)),
+                ("replay_evals_per_cycle", Json::Num(evals / 10.0)),
                 ("compression_ratio", Json::Num(ratio)),
             ])
         };
@@ -417,6 +418,13 @@ mod tests {
         assert_eq!(err.len(), 2, "{err:?}");
         assert!(err[0].contains("sim/a: evals_per_cycle_compiled regressed"));
         assert!(err[1].contains("sim/b: present in baseline but not measured"));
+        // Replay evals/cycle is pinned by the same rule.
+        let replay =
+            |e: f64| with_row_field("sim", 0, "replay_evals_per_cycle", Some(Json::Num(e)));
+        assert_eq!(compare(&replay(1.09), &doc()), Ok(()));
+        let err = fails(&replay(1.2), &doc());
+        assert_eq!(err.len(), 1, "{err:?}");
+        assert!(err[0].contains("sim/a: replay_evals_per_cycle regressed"));
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! workload under both settle schedulers ([`vidi_hwsim::EvalMode::Full`],
 //! the oracle, and [`vidi_hwsim::EvalMode::Compiled`], the default), checks
 //! the recorded traces are bit-identical, replays the compiled trace, and
-//! reports deterministic eval counters plus (informational) wall-clock
-//! numbers. Baseline regressions are judged **only** on the deterministic
-//! counters — wall time depends on the host and is recorded as a
-//! trajectory — with one deliberate exception: the compiled scheduler
-//! exists *for* wall-clock throughput, so the suite additionally gates its
-//! cycles/sec speedup over the full-broadcast oracle.
+//! reports deterministic eval counters (the replay's among them) plus
+//! (informational) wall-clock numbers. Baseline regressions are judged
+//! **only** on the deterministic counters — wall time depends on the host
+//! and is recorded as a trajectory — with one deliberate exception: the
+//! compiled scheduler exists *for* wall-clock throughput, so the suite
+//! additionally gates its cycles/sec speedup over the full-broadcast
+//! oracle.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,6 +57,11 @@ pub struct SimBenchRow {
     pub recompiles: u64,
     /// Clock edges the compiled run skipped for quiescent components.
     pub tick_skips: u64,
+    /// Mean component evals per cycle of the (compiled) replay.
+    pub replay_evals_per_cycle: f64,
+    /// Clock edges the replay skipped for quiescent components — the
+    /// replay engine's own among them.
+    pub replay_tick_skips: u64,
     /// The recorded traces of both modes are byte-for-byte identical.
     pub traces_identical: bool,
     /// High-water mark of bytes buffered in the streaming trace sink, maxed
@@ -165,7 +171,7 @@ pub fn measure_app(app: AppId, scale: Scale, seed: u64) -> SimBenchRow {
         VidiConfig::replay(trace_comp.clone()),
     );
     let start = Instant::now();
-    run_app(replay, MAX_CYCLES).expect("replay completes");
+    let replayed = run_app(replay, MAX_CYCLES).expect("replay completes");
     let replay_wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
     // Codec sweep: record the same workload raw and through xor-dict, and
@@ -203,6 +209,8 @@ pub fn measure_app(app: AppId, scale: Scale, seed: u64) -> SimBenchRow {
         deopts: comp.sim_stats.deopts,
         recompiles: comp.sim_stats.recompiles,
         tick_skips: comp.sim_stats.tick_skips,
+        replay_evals_per_cycle: replayed.sim_stats.evals_per_cycle(),
+        replay_tick_skips: replayed.sim_stats.tick_skips,
         traces_identical,
         peak_buffered_bytes: full.peak_buffered_bytes.max(comp.peak_buffered_bytes),
         chunks_flushed: comp.chunks_flushed,
@@ -252,6 +260,13 @@ fn compiled_speedup_failures(rows: &[SimBenchRow]) -> Vec<String> {
         failures.push(
             "no compiled run skipped a clock edge — the speedup gate never \
              exercised compiled tick scheduling"
+                .to_string(),
+        );
+    }
+    if !rows.is_empty() && rows.iter().all(|r| r.replay_tick_skips == 0) {
+        failures.push(
+            "no replay skipped a clock edge — the replay evals/cycle pin \
+             never exercised compiled tick scheduling"
                 .to_string(),
         );
     }
@@ -321,14 +336,22 @@ fn buffer_bound_failures(rows: &[SimBenchRow], bound: u64) -> Vec<String> {
     failures
 }
 
-/// The sim suite's baseline gates: compiled evals/cycle may not grow, nor
-/// the xor-dict compression ratio shrink, by more than 10 % per app.
+/// The sim suite's baseline gates: compiled recording and replay
+/// evals/cycle may not grow, nor the xor-dict compression ratio shrink, by
+/// more than 10 % per app.
 pub const SUITE: SuiteSpec = SuiteSpec {
     name: "sim",
     key: "app",
     rows: &[
         (
             "evals_per_cycle_compiled",
+            Gate::Within {
+                tolerance: 0.10,
+                lower_is_better: true,
+            },
+        ),
+        (
+            "replay_evals_per_cycle",
             Gate::Within {
                 tolerance: 0.10,
                 lower_is_better: true,
@@ -394,6 +417,8 @@ pub fn suite(scale: Scale, seed: u64) -> SuiteReport {
                         deopts,
                         recompiles,
                         tick_skips,
+                        replay_evals_per_cycle,
+                        replay_tick_skips,
                         traces_identical,
                         peak_buffered_bytes,
                         chunks_flushed,
@@ -457,6 +482,8 @@ mod tests {
             deopts: 0,
             recompiles: 0,
             tick_skips: 0,
+            replay_evals_per_cycle: 0.0,
+            replay_tick_skips: 0,
             traces_identical: true,
             peak_buffered_bytes: 0,
             chunks_flushed: 0,
@@ -476,6 +503,7 @@ mod tests {
             r.traces_identical = identical;
             r.compiled_speedup = 6.0;
             r.tick_skips = 1;
+            r.replay_tick_skips = 1;
             r.compression_ratio = 4.0;
             r.bytes_written = 100;
             r.chunks_flushed = 1;
@@ -540,6 +568,7 @@ mod tests {
             let mut r = row(app);
             r.compiled_speedup = speedup;
             r.tick_skips = skips;
+            r.replay_tick_skips = skips;
             r
         };
         // Half the catalog at 5x with real skips: gate passes.
@@ -550,7 +579,16 @@ mod tests {
         assert!(fails[0].contains("0/2 apps reach a 5x"));
         // Fast but with zero tick skips everywhere: the number is vacuous.
         let fails = compiled_speedup_failures(&[mk("a", 8.5, 0), mk("b", 8.5, 0)]);
+        assert_eq!(fails.len(), 2);
+        assert!(fails[0].contains("no compiled run skipped a clock edge"));
+        assert!(fails[1].contains("no replay skipped a clock edge"));
+        // Replay edges alone never skipped: the replay pin is vacuous.
+        let mut quiet_replay = [mk("a", 8.5, 10), mk("b", 8.5, 10)];
+        for r in &mut quiet_replay {
+            r.replay_tick_skips = 0;
+        }
+        let fails = compiled_speedup_failures(&quiet_replay);
         assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("never exercised compiled tick scheduling"));
+        assert!(fails[0].contains("no replay skipped a clock edge"));
     }
 }

@@ -146,9 +146,55 @@ impl DecoderCore {
         self.io_fault.as_deref()
     }
 
+    /// Whether a fetch-bandwidth hook makes accrual a function of the
+    /// cycle counter.
+    pub(crate) fn time_sensitive(&self) -> bool {
+        self.bandwidth_hook.is_some()
+    }
+
+    /// Idle edges left before accrued credit pays for the pending packet:
+    /// the edge after that many elided ones is the first that can
+    /// dispatch. `None` when only a replayer pop can unblock dispatch (a
+    /// queue is full), when nothing is pending (the source is exhausted or
+    /// faulted), or when credit can never cover the packet.
+    ///
+    /// Exact without a bandwidth hook, where every edge accrues
+    /// `fetch_bytes_per_cycle` and `credit_rem` stays zero.
+    pub(crate) fn tick_holdoff(&self, replayers: &[ReplayerCore]) -> Option<u64> {
+        let packet = self.pending.as_ref()?;
+        if !replayers.iter().all(ReplayerCore::has_space) {
+            return None;
+        }
+        let size = self.source.wire_len(packet);
+        let rate = u64::from(self.fetch_bytes_per_cycle);
+        if size > self.credit_cap || rate == 0 {
+            return None;
+        }
+        // Edge `k` (1-based) sees `credit + k * rate` before its check.
+        Some(
+            size.saturating_sub(self.credit)
+                .div_ceil(rate)
+                .saturating_sub(1),
+        )
+    }
+
+    /// Replays one elided clock edge: an idle, unhooked tick (nothing
+    /// fetched, nothing dispatched) mutates only the cycle counter and the
+    /// saturating credit accrual.
+    pub(crate) fn tick_elided(&mut self) {
+        self.cycle += 1;
+        let accrued = self.credit_rem + u64::from(self.fetch_bytes_per_cycle);
+        self.credit = (self.credit + accrued).min(self.credit_cap);
+        self.credit_rem = 0;
+    }
+
     /// Clock-edge phase: dispatches packets to replayers as long as the
     /// fetch bandwidth budget and every replayer's queue space allow.
-    pub fn tick(&mut self, replayers: &mut [ReplayerCore]) {
+    /// Returns whether the edge fetched or dispatched a packet (or latched
+    /// a fetch fault): anything beyond what [`DecoderCore::tick_elided`]
+    /// replays.
+    pub fn tick(&mut self, replayers: &mut [ReplayerCore]) -> bool {
+        let mut active = false;
         let cycle = self.cycle;
         self.cycle += 1;
         let divisor = self.bandwidth_hook.as_mut().map_or(1, |h| h(cycle).max(1)) as u64;
@@ -169,18 +215,17 @@ impl DecoderCore {
                     Ok(Some(packet)) => {
                         self.pending = Some(packet);
                         self.pending_pos = pos;
+                        active = true;
                     }
                     Ok(None) => break,
                     Err(e) => {
                         self.io_fault = Some(format!("trace fetch failed: {e}"));
+                        active = true;
                         break;
                     }
                 }
             }
-            if !replayers
-                .iter()
-                .all(super::replayer::ReplayerCore::has_space)
-            {
+            if !replayers.iter().all(ReplayerCore::has_space) {
                 break;
             }
             let Some(packet) = &self.pending else { break };
@@ -225,7 +270,9 @@ impl DecoderCore {
                 });
             }
             self.dispatched += 1;
+            active = true;
         }
+        active
     }
 }
 

@@ -90,7 +90,8 @@ pub struct VidiEngine {
     /// anyway).
     tick_active: bool,
     /// Whether the most recent executed tick changed eval-relevant state
-    /// (the staged-FIFO occupancy the encoder's grant budget reads).
+    /// (the staged-FIFO occupancy the encoder's grant budget reads, or
+    /// the queues, clocks and launches the replayers drive from).
     tick_changed: bool,
 }
 
@@ -265,12 +266,10 @@ impl Component for VidiEngine {
             stats.backpressure_cycles = encoder.backpressure_cycles();
             stats.events_logged = encoder.events_logged();
         }
-        self.tick_changed = enc_active || store_active;
-        self.tick_active = enc_active || store_active || fifo_occupied || self.decoder.is_some();
-
         // 2. Replay path. `t0` is the clock value this cycle's eval exposed;
         //    advancing decisions must use it so signal driving and stream
         //    consumption agree.
+        let mut replay_active = false;
         if let Some(decoder) = &mut self.decoder {
             self.t_scratch.clone_from(&self.t_current);
             let t0 = &self.t_scratch;
@@ -278,21 +277,26 @@ impl Component for VidiEngine {
                 if ch.fires(p) {
                     r.observe_fire();
                     self.t_current.increment(r.index());
+                    replay_active = true;
                 }
             }
             for r in &mut self.replayers {
-                r.advance(t0);
+                replay_active |= r.advance(t0);
             }
-            decoder.tick(&mut self.replayers);
+            replay_active |= decoder.tick(&mut self.replayers);
             if let Some(status) = &self.replay_status {
                 let mut s = status.borrow_mut();
                 s.dispatched = decoder.dispatched();
-                s.complete = decoder.done()
+                let complete = decoder.done()
                     && self
                         .replayers
                         .iter()
                         .all(super::replayer::ReplayerCore::drained);
-                if decoder.done() && !s.complete {
+                replay_active |= complete != s.complete;
+                s.complete = complete;
+                // The stall report is a function of replay state alone:
+                // an idle edge would rebuild it byte for byte.
+                if replay_active && decoder.done() && !complete {
                     s.stalled = self
                         .replayers
                         .iter()
@@ -310,45 +314,62 @@ impl Component for VidiEngine {
                 }
             }
         }
+        // A replay edge that moved nothing (no fire, no replayer step, no
+        // fetch or dispatch) left the replayers' drive inputs unchanged.
+        self.tick_changed = enc_active || store_active || replay_active;
+        self.tick_active = enc_active || store_active || fifo_occupied || replay_active;
     }
 
     fn tick_changed_state(&self) -> bool {
         // A stall gate makes the encoder's grant budget a function of the
-        // cycle counter, and the replay path's eval follows the vector
-        // clock: both must re-evaluate every cycle.
-        self.decoder.is_some()
-            || self
-                .encoder
-                .as_ref()
-                .is_some_and(EncoderCore::has_stall_gate)
+        // cycle counter: it must re-evaluate every cycle.
+        self.encoder
+            .as_ref()
+            .is_some_and(EncoderCore::has_stall_gate)
             || self.tick_changed
     }
 
     fn tick_reads(&self) -> Option<Vec<vidi_hwsim::SignalId>> {
         // The engine's clock edge may only be scheduled when its behaviour
-        // is a pure function of (port signals, internal state): no replay
-        // path, no injected crash, and no cycle-keyed fault or arbitration
-        // hooks.
-        let time_sensitive = self.decoder.is_some()
-            || self.panic_at.is_some()
+        // is a pure function of (port signals, replay handshakes, internal
+        // state): no injected crash and no cycle-keyed fault or
+        // arbitration hooks. Decoder credit is local time, bounded by
+        // `tick_holdoff`.
+        let time_sensitive = self.panic_at.is_some()
             || self
                 .encoder
                 .as_ref()
                 .is_some_and(EncoderCore::has_stall_gate)
-            || self.store.as_ref().is_some_and(StoreCore::time_sensitive);
+            || self.store.as_ref().is_some_and(StoreCore::time_sensitive)
+            || self
+                .decoder
+                .as_ref()
+                .is_some_and(DecoderCore::time_sensitive);
         if time_sensitive {
             return None;
         }
-        Some(
-            self.encoder
-                .as_ref()
-                .map(EncoderCore::tick_read_signals)
-                .unwrap_or_default(),
-        )
+        let mut reads = self
+            .encoder
+            .as_ref()
+            .map(EncoderCore::tick_read_signals)
+            .unwrap_or_default();
+        // The replay edge reads exactly `ch.fires(p)` per replayed channel.
+        reads.extend(
+            self.replay_channels
+                .iter()
+                .flat_map(|ch| [ch.valid, ch.ready]),
+        );
+        Some(reads)
     }
 
     fn tick_quiet(&self) -> bool {
         !self.tick_active
+    }
+
+    fn tick_holdoff(&self) -> Option<u64> {
+        self.decoder
+            .as_ref()
+            .and_then(|d| d.tick_holdoff(&self.replayers))
     }
 
     fn tick_elided(&mut self) {
@@ -358,6 +379,9 @@ impl Component for VidiEngine {
         }
         if let Some(store) = &mut self.store {
             store.tick_elided();
+        }
+        if let Some(decoder) = &mut self.decoder {
+            decoder.tick_elided();
         }
     }
 

@@ -171,7 +171,7 @@ impl ChannelMonitor {
                 } else {
                     p.set_bool(receiver.valid, false);
                     p.set_bool(sender.ready, false);
-                    p.set_bool(self.port.pkt_valid, false);
+                    self.present_nothing(p);
                 }
             }
             State::Active(content) => {
@@ -217,8 +217,19 @@ impl ChannelMonitor {
         } else {
             p.set_bool(receiver.valid, false);
             p.set_bool(sender.ready, false);
-            p.set_bool(self.port.pkt_valid, false);
+            self.present_nothing(p);
         }
+    }
+
+    /// Presents no event to the encoder. The start and end flags are
+    /// driven low too: left holding whatever a transient grant wrote
+    /// earlier in the settle, their settled values would depend on
+    /// evaluation order and differ between the full and compiled
+    /// schedulers.
+    fn present_nothing(&self, p: &mut SignalPool) {
+        p.set_bool(self.port.pkt_valid, false);
+        p.set_bool(self.port.pkt_start, false);
+        p.set_bool(self.port.pkt_end, false);
     }
 }
 
@@ -334,7 +345,7 @@ impl Component for ChannelMonitor {
     fn load_state(&mut self, r: &mut StateReader) -> Result<(), StateError> {
         self.state = match r.u8()? {
             0 => State::Idle,
-            1 => State::Active(r.bits()?),
+            1 => State::Active(r.bits_expect(self.env.width(), "monitor content")?),
             2 => State::Exposed,
             d => {
                 return Err(StateError::Mismatch {
@@ -399,5 +410,20 @@ mod tests {
         assert!(restore(Direction::Output, ACTIVE).is_err());
         assert!(restore(Direction::Input, ACTIVE).is_ok());
         assert!(restore(Direction::Output, EXPOSED).is_ok());
+    }
+
+    #[test]
+    fn restore_refuses_active_content_of_the_wrong_width() {
+        let mut w = StateWriter::new();
+        w.u8(1);
+        w.bits(&Bits::from_u64(16, 0x5a5a));
+        w.u64(0);
+        w.bool(false);
+        // Accepted, the next eval would drive 16 bits onto an 8-bit
+        // channel and trip `SignalPool::set`'s width assertion.
+        let err = monitor(Direction::Input)
+            .load_state(&mut StateReader::new(&w.into_bytes()))
+            .expect_err("a 16-bit payload on an 8-bit channel");
+        assert!(err.to_string().contains("monitor content"), "{err}");
     }
 }

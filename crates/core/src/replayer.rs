@@ -164,13 +164,17 @@ impl ReplayerCore {
                     p.set(self.channel.data, d);
                     return;
                 }
-                let launch = self.queue.front().and_then(|head| {
-                    (head.start && self.check(t_current)).then(|| head.content.clone())
-                });
+                // Drive straight from the borrowed head: this runs on every
+                // settle pass that evaluates the engine.
+                let launch = self
+                    .queue
+                    .front()
+                    .filter(|head| head.start && self.check(t_current))
+                    .map(|head| head.content.as_ref());
                 match launch {
                     Some(Some(content)) => {
                         p.set_bool(self.channel.valid, true);
-                        p.set(self.channel.data, &content);
+                        p.set(self.channel.data, content);
                     }
                     Some(None) => {
                         // A start element with no content is a corrupt or
@@ -207,39 +211,34 @@ impl ReplayerCore {
 
     /// Clock-edge phase: advances through the stream as far as the vector
     /// clock `t0` (the value visible to this cycle's `eval`) permits.
-    #[allow(clippy::while_let_loop)] // the loop body matches on more than the binding
-    pub fn advance(&mut self, t0: &VectorClock) {
-        loop {
-            let Some(head) = self.queue.front() else {
-                break;
-            };
-            if head.is_bookkeeping() {
-                let ends = Rc::clone(&head.ends);
-                self.queue.pop_front();
-                self.consume_ends(&ends);
-                continue;
-            }
-            if self.enforce_ordering && !t0.geq(&self.t_expected) {
-                break;
-            }
-            match self.direction {
-                Direction::Input => {
-                    if head.start && head.end {
+    /// Returns whether anything moved — an element popped or a launch
+    /// latched into `driving`. A `false` return left the replayer exactly
+    /// as it was, so an edge that repeats it with the same `t0` and no new
+    /// fire is idle.
+    pub fn advance(&mut self, t0: &VectorClock) -> bool {
+        let mut moved = false;
+        while let Some(head) = self.queue.front() {
+            let pop = if head.is_bookkeeping() {
+                true
+            } else if self.enforce_ordering && !t0.geq(&self.t_expected) {
+                false
+            } else {
+                match self.direction {
+                    Direction::Input if head.start && head.end => {
                         // Same-cycle start+fire recorded: pop at fire.
                         if self.pending_fires > 0 {
                             self.pending_fires -= 1;
-                            let ends = Rc::clone(&head.ends);
-                            self.queue.pop_front();
-                            self.consume_ends(&ends);
-                            continue;
+                            true
+                        } else {
+                            // Launched (eval asserted valid); hold until fire.
+                            if self.driving.is_none() && head.content.is_some() {
+                                self.driving = head.content.clone();
+                                moved = true;
+                            }
+                            false
                         }
-                        // Launched (eval asserted valid); hold until fire.
-                        if self.driving.is_none() {
-                            self.driving = head.content.clone();
-                        }
-                        break;
                     }
-                    if head.start {
+                    Direction::Input if head.start => {
                         // Start-only: transaction launched this cycle. If an
                         // unmatched fire is pending it can only be this
                         // launch completing in its very first cycle (all
@@ -249,35 +248,34 @@ impl ReplayerCore {
                         if self.pending_fires == 0 && self.driving.is_none() {
                             self.driving = head.content.clone();
                         }
-                        let ends = Rc::clone(&head.ends);
-                        self.queue.pop_front();
-                        self.consume_ends(&ends);
-                        continue;
+                        true
                     }
-                    // End-only: the application completes input transactions;
-                    // match it against an observed fire.
-                    if self.pending_fires > 0 {
-                        self.pending_fires -= 1;
-                        let ends = Rc::clone(&head.ends);
-                        self.queue.pop_front();
-                        self.consume_ends(&ends);
-                        continue;
+                    // End-only input (the application completes input
+                    // transactions) or an output end: match it against an
+                    // observed fire.
+                    _ => {
+                        debug_assert!(
+                            self.direction == Direction::Input || head.end,
+                            "output stream elements are end events"
+                        );
+                        if self.pending_fires > 0 {
+                            self.pending_fires -= 1;
+                            true
+                        } else {
+                            false
+                        }
                     }
-                    break;
                 }
-                Direction::Output => {
-                    debug_assert!(head.end, "output stream elements are end events");
-                    if self.pending_fires > 0 {
-                        self.pending_fires -= 1;
-                        let ends = Rc::clone(&head.ends);
-                        self.queue.pop_front();
-                        self.consume_ends(&ends);
-                        continue;
-                    }
-                    break;
-                }
+            };
+            if !pop {
+                break;
             }
+            let ends = Rc::clone(&head.ends);
+            self.queue.pop_front();
+            self.consume_ends(&ends);
+            moved = true;
         }
+        moved
     }
 
     fn consume_ends(&mut self, ends: &[u16]) {
@@ -311,14 +309,47 @@ impl ReplayerCore {
     /// Restores state written by [`ReplayerCore::save_state`]. The `Ends`
     /// lists, shared across replayers when fed by the decoder, are rebuilt
     /// unshared — semantics are unchanged, only allocation sharing is lost.
+    ///
+    /// Every restored content payload must match the channel's data width,
+    /// every `Ends` index must name a layout channel, and no output element
+    /// may start a transaction: each would otherwise panic on a later cycle
+    /// (`SignalPool::set`'s width assertion, `VectorClock::increment`'s
+    /// index, or `advance`'s output-element assertion).
     pub(crate) fn load_state(&mut self, r: &mut StateReader) -> Result<(), StateError> {
+        let width = self.channel.width();
+        let n = self.t_expected.len();
+        let content = |r: &mut StateReader| -> Result<Option<Bits>, StateError> {
+            if r.bool()? {
+                Ok(Some(r.bits_expect(width, "replay content")?))
+            } else {
+                Ok(None)
+            }
+        };
+        let channel_index = |r: &mut StateReader| -> Result<u16, StateError> {
+            let c = r.u16()?;
+            if usize::from(c) >= n {
+                return Err(StateError::Mismatch {
+                    expected: format!("an Ends index below {n}"),
+                    found: format!("{c}"),
+                });
+            }
+            Ok(c)
+        };
+        let direction = self.direction;
         self.queue = r
             .seq(|r| {
+                let start = r.bool()?;
+                if start && direction == Direction::Output {
+                    return Err(StateError::Mismatch {
+                        expected: "no transaction start on an output channel".into(),
+                        found: "a start element".into(),
+                    });
+                }
                 Ok(ReplayElem {
-                    start: r.bool()?,
+                    start,
                     end: r.bool()?,
-                    content: r.opt_bits()?,
-                    ends: Rc::new(r.seq(StateReader::u16)?),
+                    content: content(r)?,
+                    ends: Rc::new(r.seq(channel_index)?),
                 })
             })?
             .into();
@@ -330,7 +361,7 @@ impl ReplayerCore {
             });
         }
         self.t_expected = VectorClock::from_counts(counts);
-        self.driving = r.opt_bits()?;
+        self.driving = content(r)?;
         self.pending_fires = r.u64()?;
         self.replayed = r.u64()?;
         self.fault = if r.bool()? {
@@ -339,5 +370,76 @@ impl ReplayerCore {
             None
         };
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An 8-bit replayer over a two-channel layout.
+    fn replayer(direction: Direction) -> ReplayerCore {
+        let mut pool = SignalPool::new();
+        let ch = Rc::new(Channel::new(&mut pool, "env.c", 8));
+        ReplayerCore::new(ch, direction, 0, 2)
+    }
+
+    /// A saved replayer state holding one start element with `content`
+    /// and `ends`, driving `driving`.
+    fn state(content: &Bits, ends: &[u16], driving: Option<&Bits>) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.seq(std::iter::once(()), |w, ()| {
+            w.bool(true);
+            w.bool(false);
+            w.opt_bits(Some(content));
+            w.seq(ends.iter(), |w, &c| w.u16(c));
+        });
+        w.seq([0u64, 0].iter(), |w, &c| w.u64(c));
+        w.opt_bits(driving);
+        w.u64(0);
+        w.u64(0);
+        w.bool(false);
+        w.into_bytes()
+    }
+
+    fn restore(blob: &[u8]) -> Result<(), StateError> {
+        replayer(Direction::Input).load_state(&mut StateReader::new(blob))
+    }
+
+    #[test]
+    fn restore_accepts_a_well_formed_state() {
+        let byte = Bits::from_u64(8, 0x5a);
+        restore(&state(&byte, &[0, 1], Some(&byte))).expect("well-formed state");
+    }
+
+    #[test]
+    fn restore_refuses_an_ends_index_past_the_layout() {
+        // Accepted, the next `advance` would index past the vector clock.
+        let err = restore(&state(&Bits::from_u64(8, 1), &[2], None))
+            .expect_err("channel 2 of a two-channel layout");
+        assert!(err.to_string().contains("Ends index"), "{err}");
+    }
+
+    #[test]
+    fn restore_refuses_content_of_the_wrong_width() {
+        // Accepted, the next `eval` would drive 16 bits onto an 8-bit
+        // channel and trip `SignalPool::set`'s width assertion.
+        let wide = Bits::from_u64(16, 0x5a5a);
+        let byte = Bits::from_u64(8, 0x5a);
+        for blob in [state(&wide, &[0], None), state(&byte, &[0], Some(&wide))] {
+            let err = restore(&blob).expect_err("a 16-bit payload on an 8-bit channel");
+            assert!(err.to_string().contains("replay content"), "{err}");
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_start_on_an_output_channel() {
+        // Accepted, the next `advance` would trip its output-element
+        // assertion (a panic in debug builds).
+        let blob = state(&Bits::from_u64(8, 1), &[0], None);
+        let err = replayer(Direction::Output)
+            .load_state(&mut StateReader::new(&blob))
+            .expect_err("a start element on an output channel");
+        assert!(err.to_string().contains("output channel"), "{err}");
     }
 }

@@ -2,16 +2,46 @@
 //! applications stopped at random cycles — must snapshot/restore exactly,
 //! and arbitrarily damaged snapshot bytes must fail typed, never panic.
 
+use std::sync::OnceLock;
+
 use proptest::prelude::*;
-use vidi_apps::{build_app, AppId, Scale};
-use vidi_core::VidiConfig;
+use vidi_apps::{build_app, run_app, AppId, BuiltApp, Scale};
+use vidi_core::{ReplayInput, VidiConfig};
 use vidi_hwsim::EvalMode;
 
 /// Advances a fresh recording session of `app` by `cycles`.
-fn session_at(app: AppId, seed: u64, cycles: u64) -> vidi_apps::BuiltApp {
+fn session_at(app: AppId, seed: u64, cycles: u64) -> BuiltApp {
     let mut built = build_app(app.setup(Scale::Test, seed), VidiConfig::record());
     built.sim.run(cycles).expect("run to snapshot point");
     built
+}
+
+/// Seed of the recordings the replay sessions below replay.
+const REPLAY_SEED: u64 = 11;
+
+/// A fresh R3 (replay-while-recording) session of `app` over its recorded
+/// image, recorded once per app at [`REPLAY_SEED`] and shared by every
+/// case: decoder, replayer and replay-engine state all live in its
+/// snapshots.
+fn replay_session(app: AppId) -> BuiltApp {
+    static IMAGES: [OnceLock<ReplayInput>; AppId::ALL.len()] =
+        [const { OnceLock::new() }; AppId::ALL.len()];
+    let idx = AppId::ALL
+        .iter()
+        .position(|&a| a == app)
+        .expect("a catalog app");
+    let input = IMAGES[idx].get_or_init(|| {
+        let recorded = run_app(
+            build_app(app.setup(Scale::Test, REPLAY_SEED), VidiConfig::record()),
+            2_000_000,
+        )
+        .expect("recording completes");
+        recorded.trace.expect("recording produces a trace").into()
+    });
+    build_app(
+        app.setup(Scale::Test, REPLAY_SEED),
+        VidiConfig::replay_record(input.clone()),
+    )
 }
 
 proptest! {
@@ -69,7 +99,9 @@ proptest! {
     /// Bit-flipped snapshot bytes: either a typed error or a clean restore
     /// (flips confined to value payloads still parse) — never a panic, at
     /// restore or in the cycles after it: a restore must refuse any state
-    /// the design cannot run from.
+    /// the design cannot run from. Covers recording sessions and R3 replay
+    /// sessions, whose snapshots also carry decoder, replayer and
+    /// replay-engine state.
     #[test]
     fn corrupted_snapshot_never_panics(
         app_idx in 0usize..AppId::ALL.len(),
@@ -77,9 +109,19 @@ proptest! {
         cycles in 0u64..2000,
         flip_seed in any::<u64>(),
         flips in 1usize..24,
+        replay in any::<bool>(),
     ) {
         let app = AppId::ALL[app_idx];
-        let mut blob = session_at(app, seed, cycles).sim.snapshot();
+        let fresh = || {
+            if replay {
+                replay_session(app)
+            } else {
+                build_app(app.setup(Scale::Test, seed), VidiConfig::record())
+            }
+        };
+        let mut original = fresh();
+        original.sim.run(cycles).expect("run to snapshot point");
+        let mut blob = original.sim.snapshot();
         let mut state = flip_seed | 1;
         for _ in 0..flips {
             // xorshift64 walk over bit positions.
@@ -89,7 +131,7 @@ proptest! {
             let pos = (state as usize) % (blob.len() * 8);
             blob[pos / 8] ^= 1 << (pos % 8);
         }
-        let mut victim = build_app(app.setup(Scale::Test, seed), VidiConfig::record());
+        let mut victim = fresh();
         if victim.sim.restore(&blob).is_ok() {
             // A damaged but accepted state may stall or time out; it must
             // not panic.

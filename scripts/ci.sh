@@ -110,7 +110,8 @@ echo "── bench gate: sim + snap + fleet suites against one baseline ──"
 #   sim   — trace divergence between the two schedulers (full / compiled);
 #           <2x eval reduction (full / compiled evals/cycle) on half the
 #           catalog; <5x compiled wall-clock speedup over full on half the
-#           catalog (all-zero tick_skips is a vacuous-gate failure); any
+#           catalog (all-zero tick_skips, or all-zero replay_tick_skips,
+#           is a vacuous-gate failure); any
 #           xor-dict round-trip mismatch; <3x xor-dict compression on half
 #           the catalog (all-zero bytes written is a vacuous-gate failure);
 #           a peak buffered size over the streaming bound (no flushed chunk
@@ -122,7 +123,8 @@ echo "── bench gate: sim + snap + fleet suites against one baseline ──"
 #           bit-identical to its solo run; peak reservation or aggregate
 #           peak buffering over the admission budget;
 # and on any pinned field that drifts from scripts/bench_baseline.json:
-#   sim   — compiled evals/cycle up, or compression ratio down, >10 %;
+#   sim   — compiled recording or replay evals/cycle up, or compression
+#           ratio down, >10 %;
 #   snap  — round-trip exactness, verdict, worst-case reverse-step
 #           roll-forward (exact);
 #   fleet — per-tenant outcome, cause and bit-identity, and both

@@ -5,11 +5,17 @@
 //! Three layers of evidence, strongest first:
 //!
 //! 1. **Catalog traces** — every catalog application records a
-//!    byte-for-byte identical trace (and cycle count) under both modes.
+//!    byte-for-byte identical trace (and cycle count) under both modes,
+//!    and replays its recording to `ReplayComplete` on the same cycle.
 //! 2. **Case-study lockstep** — the buggy and fixed variants of both case
 //!    studies run cycle-by-cycle in lockstep with *every pool signal*
 //!    compared after each cycle, which is strictly stronger than trace
-//!    equality (it also covers unmonitored internal signals).
+//!    equality (it also covers unmonitored internal signals). Their
+//!    replays run the same lockstep and also compare `state_digest`, and
+//!    one replay compares whole snapshots, so every replay-path register
+//!    (decoder credit, replayer queues, vector clocks) must agree at every
+//!    cycle boundary even where the compiled scheduler elided the
+//!    engine's clock edge.
 //! 3. **Random DAGs** — a proptest builds random combinational/registered
 //!    component graphs (including data-dependent read sets, the case a
 //!    static schedule gets wrong) under random stimulus and checks the
@@ -23,9 +29,10 @@ use proptest::prelude::*;
 use vidi_repro::apps::{
     build_app, build_echo_atop, build_echo_fifo, run_app, AppId, EchoFifoConfig, Scale,
 };
-use vidi_repro::chan::{AtopFilterMode, FrameFifoMode};
-use vidi_repro::core::VidiConfig;
-use vidi_repro::hwsim::{Component, EvalMode, SignalId, SignalPool, Simulator};
+use vidi_repro::chan::{AtopFilterMode, Channel, Direction, FrameFifoMode};
+use vidi_repro::core::{VidiConfig, VidiShim};
+use vidi_repro::hwsim::{Bits, Component, EvalMode, SignalId, SignalPool, Simulator};
+use vidi_repro::trace::{ChannelInfo, ChannelPacket, CyclePacket, Trace, TraceLayout};
 
 /// Generous per-run budget; every catalog app finishes at `Scale::Test`
 /// within ~26k cycles.
@@ -91,7 +98,67 @@ fn catalog_traces_identical_across_schedulers() {
     }
 }
 
+#[test]
+fn catalog_replays_complete_on_the_same_cycle_across_schedulers() {
+    for &app in AppId::ALL.iter() {
+        let recorded = run_app(
+            build_app(app.setup(Scale::Test, 42), VidiConfig::record()),
+            BUDGET,
+        )
+        .unwrap_or_else(|e| panic!("{}: recording: {e}", app.label()));
+        let trace = recorded.trace.expect("recording produces a trace");
+        let replays: Vec<_> = MODES
+            .iter()
+            .map(|&mode| {
+                let mut built = build_app(
+                    app.setup(Scale::Test, 42),
+                    VidiConfig::replay(trace.clone()),
+                );
+                built.sim.set_eval_mode(mode);
+                run_app(built, BUDGET)
+                    .unwrap_or_else(|e| panic!("{} replay under {mode:?}: {e}", app.label()))
+            })
+            .collect();
+        let (full, compiled) = (&replays[0], &replays[1]);
+        assert_eq!(
+            full.cycles,
+            compiled.cycles,
+            "{}: replay completes on different cycles under Full and Compiled",
+            app.label()
+        );
+        // The replay engine's eval must not run every cycle: equivalence
+        // has to come from real skipping on the replay path too.
+        assert!(
+            compiled.sim_stats.evals_per_cycle() < 0.5,
+            "{}: compiled replay evaluates {:.3} components per cycle",
+            app.label(),
+            compiled.sim_stats.evals_per_cycle()
+        );
+    }
+}
+
 // ─────────────────── 2. Case studies: per-signal lockstep ──────────────────
+
+/// What [`assert_lockstep`] compares after each cycle besides every pool
+/// signal.
+#[derive(Clone, Copy, PartialEq)]
+enum StateCheck {
+    /// Signals only.
+    Signals,
+    /// Plus [`Simulator::state_digest`].
+    Digest,
+    /// Plus the whole snapshot but its scheduler statistics.
+    Snapshot,
+}
+
+/// A snapshot without its scheduler statistics — the eight `u64` counters
+/// after the `u16` version and `u64` cycle — which count work done and so
+/// differ across modes by design.
+fn snapshot_state(sim: &Simulator) -> Vec<u8> {
+    let mut bytes = sim.snapshot();
+    bytes.drain(2 + 8..2 + 8 + 8 * 8);
+    bytes
+}
 
 /// Runs the same design under each `(mode, simulator)` pair in lockstep for
 /// `cycles` cycles, comparing every pool signal of every simulator against
@@ -102,6 +169,7 @@ fn assert_lockstep(
     name: &str,
     mut sims: Vec<(EvalMode, Simulator)>,
     cycles: u64,
+    check: StateCheck,
     mut force: impl FnMut(u64, &mut SignalPool),
 ) -> Vec<(EvalMode, Simulator)> {
     for (mode, sim) in sims.iter_mut() {
@@ -150,6 +218,23 @@ fn assert_lockstep(
                 );
             }
         }
+        if check == StateCheck::Signals {
+            continue;
+        }
+        let reference = &sims[0].1;
+        for (mode, sim) in sims.iter().skip(1) {
+            assert_eq!(
+                reference.state_digest(),
+                sim.state_digest(),
+                "{name}: cycle {c}: state digest diverges between Full and {mode:?}"
+            );
+            if check == StateCheck::Snapshot {
+                assert!(
+                    snapshot_state(reference) == snapshot_state(sim),
+                    "{name}: cycle {c}: snapshot bytes diverge between Full and {mode:?}"
+                );
+            }
+        }
     }
     sims
 }
@@ -174,15 +259,145 @@ fn case_studies_lockstep_identical() {
             })
             .sim
         });
-        assert_lockstep(variant, sims, 2_500, |_, _| {});
+        assert_lockstep(variant, sims, 2_500, StateCheck::Signals, |_, _| {});
     }
     for (variant, mode) in [
         ("echo_atop.buggy", AtopFilterMode::Buggy),
         ("echo_atop.fixed", AtopFilterMode::Fixed),
     ] {
         let sims = all_mode_sims(|| build_echo_atop(mode, VidiConfig::record(), 4, 9).sim);
-        assert_lockstep(variant, sims, 2_500, |_, _| {});
+        assert_lockstep(variant, sims, 2_500, StateCheck::Signals, |_, _| {});
     }
+}
+
+/// Records `cycles` cycles (plus a store flush margin) of a case study
+/// built by `build` under `VidiConfig::record()`.
+fn record_case_study(
+    cycles: u64,
+    build: impl FnOnce(VidiConfig) -> (Simulator, VidiShim),
+) -> Trace {
+    let (mut sim, shim) = build(VidiConfig::record());
+    sim.run(cycles + 256).expect("case-study recording runs");
+    shim.recorded_trace().expect("recording produces a trace")
+}
+
+#[test]
+fn case_study_replays_lockstep_identical() {
+    const CYCLES: u64 = 2_500;
+    for (variant, fifo_mode, respect_strobes, check) in [
+        (
+            "echo_fifo.buggy",
+            FrameFifoMode::Buggy,
+            false,
+            StateCheck::Snapshot,
+        ),
+        (
+            "echo_fifo.fixed",
+            FrameFifoMode::Fixed,
+            true,
+            StateCheck::Digest,
+        ),
+    ] {
+        let build = |vidi| {
+            let b = build_echo_fifo(&EchoFifoConfig {
+                fifo_mode,
+                respect_strobes,
+                vidi,
+                ..EchoFifoConfig::default()
+            });
+            (b.sim, b.shim)
+        };
+        let trace = record_case_study(CYCLES, build);
+        let sims = all_mode_sims(|| build(VidiConfig::replay_record(trace.clone())).0);
+        let sims = assert_lockstep(variant, sims, CYCLES, check, |_, _| {});
+        assert!(
+            sims[1].1.stats().tick_skips > sims[0].1.stats().tick_skips,
+            "{variant}: compiled replay never skipped a clock edge"
+        );
+    }
+    for (variant, mode) in [
+        ("echo_atop.buggy", AtopFilterMode::Buggy),
+        ("echo_atop.fixed", AtopFilterMode::Fixed),
+    ] {
+        let build = |vidi| {
+            let b = build_echo_atop(mode, vidi, 4, 9);
+            (b.sim, b.shim)
+        };
+        let trace = record_case_study(CYCLES, build);
+        let sims = all_mode_sims(|| build(VidiConfig::replay_record(trace.clone())).0);
+        assert_lockstep(variant, sims, CYCLES, StateCheck::Digest, |_, _| {});
+    }
+}
+
+/// An input-channel receiver that holds READY low for its first `delay`
+/// cycles: back-pressure that lifts with VALID steady, so only the replay
+/// engine's declared READY read can wake its clock edge for the fire.
+struct LateReceiver {
+    ch: Channel,
+    delay: u64,
+    cycle: u64,
+    received: u64,
+}
+
+impl Component for LateReceiver {
+    fn name(&self) -> &str {
+        "late_receiver"
+    }
+    fn eval(&mut self, p: &mut SignalPool) {
+        p.set_bool(self.ch.ready, self.cycle >= self.delay);
+    }
+    fn tick(&mut self, p: &mut SignalPool) {
+        self.cycle += 1;
+        if self.ch.fires(p) {
+            self.received += p.get_u64(self.ch.data);
+            self.delay = self.cycle + 40;
+        }
+    }
+}
+
+#[test]
+fn replay_engine_wakes_on_ready_alone() {
+    let layout = TraceLayout::new(vec![ChannelInfo {
+        name: "cmd".into(),
+        width: 32,
+        direction: Direction::Input,
+    }]);
+    let mut trace = Trace::new(layout.clone(), false);
+    for v in 1..=3 {
+        let start = ChannelPacket {
+            start: true,
+            content: Some(Bits::from_u64(32, v)),
+            end: false,
+        };
+        trace.push(CyclePacket::assemble(&layout, &[start], false));
+        trace.push(CyclePacket::assemble(
+            &layout,
+            &[ChannelPacket::end_only()],
+            false,
+        ));
+    }
+    let sims = all_mode_sims(|| {
+        let mut sim = Simulator::new();
+        let cmd = Channel::new(sim.pool_mut(), "cmd", 32);
+        VidiShim::install(
+            &mut sim,
+            &[(cmd.clone(), Direction::Input)],
+            VidiConfig::replay(trace.clone()),
+        )
+        .expect("shim installs");
+        sim.add_component(LateReceiver {
+            ch: cmd,
+            delay: 40,
+            cycle: 0,
+            received: 0,
+        });
+        sim
+    });
+    let sims = assert_lockstep("late_receiver", sims, 200, StateCheck::Digest, |_, _| {});
+    assert!(
+        sims[1].1.stats().tick_skips > 0,
+        "the compiled replay never skipped a clock edge"
+    );
 }
 
 // ─────────────────── 3. Random DAGs under random stimulus ──────────────────
@@ -337,17 +552,23 @@ fn compiled_deopt_path_is_exercised_and_stays_equivalent() {
     ];
     let sims = all_mode_sims(|| build_dag(2, &nodes).0);
     let inputs = build_dag(2, &nodes).1;
-    let sims = assert_lockstep("deopt_dag", sims, 4, |c, pool| match c {
-        // Compile with sel even: the mux's read of n0 stays unobserved.
-        0 => {}
-        // Flip sel and change data in one cycle: backward wake → deopt.
-        1 => {
-            pool.set_u64(inputs[0], 5);
-            pool.set_u64(inputs[1], 1);
-        }
-        // Post-recompile cycles run on the corrected schedule.
-        _ => pool.set_u64(inputs[0], 5 + c),
-    });
+    let sims = assert_lockstep(
+        "deopt_dag",
+        sims,
+        4,
+        StateCheck::Signals,
+        |c, pool| match c {
+            // Compile with sel even: the mux's read of n0 stays unobserved.
+            0 => {}
+            // Flip sel and change data in one cycle: backward wake → deopt.
+            1 => {
+                pool.set_u64(inputs[0], 5);
+                pool.set_u64(inputs[1], 1);
+            }
+            // Post-recompile cycles run on the corrected schedule.
+            _ => pool.set_u64(inputs[0], 5 + c),
+        },
+    );
     let (_, compiled) = &sims[1];
     assert!(
         compiled.stats().deopts >= 1,
@@ -376,7 +597,7 @@ proptest! {
         let sims = all_mode_sims(|| build_dag(n_inputs, &nodes).0);
         let (_, inputs) = build_dag(n_inputs, &nodes);
         let cycles = stimulus.len() as u64;
-        assert_lockstep("random_dag", sims, cycles, |c, pool| {
+        assert_lockstep("random_dag", sims, cycles, StateCheck::Signals, |c, pool| {
             // Identical harness-forced stimulus on all pools: this is the
             // inter-cycle dirty path every scheduler must catch.
             for (idx, val) in &stimulus[c as usize] {
